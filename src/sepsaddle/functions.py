@@ -6,6 +6,9 @@ under a block-uniform metric, so they collapse a vector ``h`` to its maximum.
 That uniform penalty dominates the per-dimension adaptive values, which keeps
 the stepsize validity matrix positive semidefinite.
 
+``BlockProx`` takes the prox of a whole set of selected blocks with one
+call per function class, which is how the block engine uses these terms.
+
 A dual term exposes ``value(y)``, ``resolvent(y_prev, u, sigma)`` and the
 conjugate pair ``max_inner(u)`` / ``argmax_inner(u)`` used to evaluate the
 primal objective from the saddle function.
@@ -17,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matrices import block_coords
 from .prox import (
     dual_resolvent_box_linear,
     dual_resolvent_linear,
     dual_resolvent_quadratic,
     prox_group_l2,
+    prox_group_l2_segments,
     prox_l1,
     prox_nuclear,
     prox_quadratic_frobenius,
@@ -106,6 +111,90 @@ class NuclearBlock:
     def prox(self, v, h) -> np.ndarray:
         tau = self.weight / _scalar_metric(h)
         return prox_nuclear(self._mat(v), tau).ravel()
+
+
+# Function classes of BlockProx; blocks of class _OWN call their own prox.
+_OWN, _SOFT, _QUADRATIC, _GROUP = range(4)
+
+
+def _prox_class(fn) -> tuple[int, float]:
+    """(class, weight) of a block function; exact types only, since a
+    subclass may redefine ``prox``."""
+    kind = type(fn)
+    if kind is L1Block:
+        return _SOFT, fn.weight
+    if kind is ZeroBlock:
+        return _SOFT, 0.0  # soft threshold 0: the identity
+    if kind is QuadraticBlock:
+        return _QUADRATIC, 0.0
+    if kind is GroupL2Block and fn.weight > 0:  # its own prox rejects tau <= 0
+        return _GROUP, fn.weight
+    return _OWN, 0.0
+
+
+class BlockProx:
+    """The prox of a set of blocks, with one call per function class.
+
+    L1, zero and quadratic blocks are coordinatewise, so all their selected
+    coordinates take one elementwise prox with per-coordinate weights built
+    here, once. Group-L2 blocks are shrunk together from segment norms. Any
+    other block (nuclear, or a user-defined function) calls its own ``prox``,
+    on ``executor`` when one is given. Every block writes only its own
+    coordinates, so the result does not depend on the executor.
+    """
+
+    def __init__(self, block_fns, block_sizes):
+        self.fns = tuple(block_fns)
+        self.sizes = np.asarray(block_sizes, dtype=np.intp)
+        kinds, weights = zip(*map(_prox_class, self.fns))
+        self.kinds = np.array(kinds)
+        self.weights = np.array(weights, dtype=float)
+        self.soft_weights = np.repeat(
+            np.where(self.kinds == _SOFT, self.weights, 0.0), self.sizes)
+        self.single_class = kinds[0] if len(set(kinds)) == 1 else None
+
+    def __call__(self, v, h, index, blocks, executor=None) -> np.ndarray:
+        """argmin_x sum_{j in blocks} f_j(x_j) + (1/2)||x - v||^2_diag(h).
+
+        ``blocks`` are sorted and distinct, ``index`` holds their coordinates
+        (``matrices.block_coords``), and v, h and the result are ordered like
+        ``index``.
+        """
+        blocks = np.asarray(blocks)
+        sizes = self.sizes[blocks]
+        if self.single_class not in (None, _OWN):
+            w = self.soft_weights[index] if self.single_class == _SOFT else None
+            return self._batched(self.single_class, v, h, w, blocks, sizes)
+        seg = np.concatenate(([0], np.cumsum(sizes)))
+        kinds = self.kinds[blocks]
+        x = np.empty_like(v)
+        tasks = []  # submitted first, so the pool overlaps the batched classes
+        for k in np.flatnonzero(kinds == _OWN):
+            sl = slice(seg[k], seg[k + 1])
+            fn = self.fns[blocks[k]]
+            if executor is None:
+                x[sl] = fn.prox(v[sl], h[sl])
+            else:
+                tasks.append((sl, executor.submit(fn.prox, v[sl], h[sl])))
+        for kind in (_SOFT, _QUADRATIC, _GROUP):
+            ks = np.flatnonzero(kinds == kind)
+            if ks.size:
+                pos = block_coords(seg, ks)
+                w = self.soft_weights[index][pos] if kind == _SOFT else None
+                x[pos] = self._batched(kind, v[pos], h[pos], w, blocks[ks], sizes[ks])
+        for sl, task in tasks:
+            x[sl] = task.result()
+        return x
+
+    def _batched(self, kind, v, h, soft_weights, blocks, sizes) -> np.ndarray:
+        if kind == _SOFT:
+            return prox_l1(v, soft_weights / h)
+        if kind == _QUADRATIC:
+            return prox_quadratic_frobenius(v, h)
+        starts = np.cumsum(sizes) - sizes
+        # h is uniform on a group block; its maximum is the block's metric
+        tau = self.weights[blocks] / np.maximum.reduceat(h, starts)
+        return prox_group_l2_segments(v, starts, tau)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,8 +21,8 @@ class DenseMatrix:
     can be cached safely.
     """
 
-    def __init__(self, data):
-        arr = np.array(data, dtype=float, order="C")
+    def __init__(self, data, order: str = "C"):
+        arr = np.array(data, dtype=float, order=order)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -63,6 +63,8 @@ class BlockPartition:
             raise ValueError(f"every block size must be >= 1, got {sizes}")
         self.block_sizes = sizes
         self.offsets = tuple(np.concatenate(([0], np.cumsum(sizes))).tolist())
+        self.offset_array = np.asarray(self.offsets, dtype=np.intp)
+        self.offset_array.setflags(write=False)
 
     @classmethod
     def singletons(cls, n: int) -> "BlockPartition":
@@ -84,6 +86,36 @@ class BlockPartition:
 
     def __repr__(self):
         return f"BlockPartition({list(self.block_sizes)})"
+
+
+def block_coords(offsets: np.ndarray, blocks):
+    """Coordinates covered by the sorted, distinct ``blocks`` of the partition
+    with prefix sums ``offsets``, in block order.
+
+    A slice when the blocks are consecutive (so indexing with it makes a
+    view), otherwise an index array.
+    """
+    blocks = np.asarray(blocks)
+    first, last = int(blocks[0]), int(blocks[-1])
+    if last - first == blocks.size - 1:
+        return slice(int(offsets[first]), int(offsets[last + 1]))
+    if offsets[-1] == offsets.size - 1:  # every block is one coordinate
+        return blocks
+    starts = offsets[blocks]
+    sizes = offsets[blocks + 1] - starts
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + sizes, sizes)
+
+
+def selected_blocks(blocks, num_blocks: int) -> np.ndarray:
+    """The distinct indices in ``blocks``, sorted; raises ValueError when the
+    selection is empty or an index lies outside [0, num_blocks)."""
+    idx = np.unique(np.asarray(blocks, dtype=np.intp))
+    if not idx.size:
+        raise ValueError("block selection must be nonempty")
+    if idx[0] < 0 or idx[-1] >= num_blocks:
+        raise ValueError(f"block indices {idx.tolist()} out of range [0, {num_blocks})")
+    return idx
 
 
 def _values(A) -> np.ndarray:
@@ -168,16 +200,41 @@ def spectral_norm_estimate(A, tol: float = 1e-6, max_iters: int = 1000) -> Spect
     return SpectralEstimate(sigma_prev, False, max_iters)
 
 
-class DenseCoupling:
-    """Column-block view of a dense coupling matrix.
+class DenseColumns:
+    """The columns A_S of a set S of blocks, gathered once for both products.
 
-    Caches the derived stepsize quantities (column sums, block norms, the
-    spectral norm) so they are computed once per instance. Immutable.
+    ``index`` selects S's coordinates of a primal vector, in block order.
+    """
+
+    __slots__ = ("index", "values")
+
+    def __init__(self, values: np.ndarray, index):
+        self.values = values
+        self.index = index
+
+    def rmatvec(self, y) -> np.ndarray:
+        """A_S^T y."""
+        return self.values.T @ y
+
+    def matvec(self, v) -> np.ndarray:
+        """A_S v, for v ordered like ``index``."""
+        return self.values @ v
+
+
+class DenseCoupling:
+    """Column-block view of a dense coupling matrix, stored column-major.
+
+    A matrix in C order is copied once into Fortran order; builders that own
+    their data construct it in Fortran order directly so that no second copy
+    exists. Caches the derived stepsize quantities (column sums, block norms,
+    the spectral norm) so they are computed once per instance. Immutable.
     """
 
     def __init__(self, matrix: DenseMatrix, partition: BlockPartition):
         if not isinstance(matrix, DenseMatrix):
-            matrix = DenseMatrix(matrix)
+            matrix = DenseMatrix(matrix, order="F")
+        elif not matrix.values.flags.f_contiguous:
+            matrix = DenseMatrix(matrix.values, order="F")
         if partition.total != matrix.cols:
             raise ValueError(
                 f"partition covers {partition.total} columns, matrix has {matrix.cols}"
@@ -209,6 +266,12 @@ class DenseCoupling:
     def block_rmatvec(self, j: int, y) -> np.ndarray:
         return self.block(j).T @ y
 
+    def gather(self, blocks) -> DenseColumns:
+        """A_S for the sorted, distinct ``blocks``: a view when they are
+        consecutive, otherwise one gather of their columns."""
+        index = block_coords(self.partition.offset_array, blocks)
+        return DenseColumns(self.matrix.values[:, index], index)
+
     def matvec(self, x) -> np.ndarray:
         return self.matrix.values @ x
 
@@ -232,11 +295,7 @@ class DenseCoupling:
         return out
 
     def row_abs_sums(self, blocks) -> np.ndarray:
-        idx = sorted({int(j) for j in blocks})
-        if not idx:
-            raise ValueError("block selection must be nonempty")
-        if idx[0] < 0 or idx[-1] >= self.num_blocks:
-            raise ValueError(f"block indices {idx} out of range [0, {self.num_blocks})")
+        idx = selected_blocks(blocks, self.num_blocks)
         return self._block_row_abs_sums[idx].sum(axis=0)
 
     @cached_property

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .functions import (
+    BlockProx,
     BoxLinearDual,
     GroupL2Block,
     L1Block,
@@ -26,7 +27,14 @@ from .functions import (
     QuadraticBlock,
     QuadraticDual,
 )
-from .matrices import BlockPartition, DenseCoupling, DenseMatrix, spectral_norm_estimate
+from .matrices import (
+    BlockPartition,
+    DenseCoupling,
+    DenseMatrix,
+    block_coords,
+    selected_blocks,
+    spectral_norm_estimate,
+)
 
 
 @dataclass(frozen=True)
@@ -57,6 +65,28 @@ class GroupSpec:
         return BlockPartition(self.group_sizes)
 
 
+class StackColumns:
+    """The columns of ``count`` identity blocks of size m: A_S = [I ... I].
+
+    ``index`` selects their coordinates of a primal vector, in block order.
+    """
+
+    __slots__ = ("index", "count", "m")
+
+    def __init__(self, index, count: int, m: int):
+        self.index = index
+        self.count = count
+        self.m = m
+
+    def rmatvec(self, y) -> np.ndarray:
+        """A_S^T y: y once per block."""
+        return np.tile(y, self.count)
+
+    def matvec(self, v) -> np.ndarray:
+        """A_S v: the sum of v's blocks, added in block order."""
+        return np.asarray(v).reshape(self.count, self.m).sum(axis=0)
+
+
 class IdentityStackCoupling:
     """Structural [I I ... I] coupling: J identity blocks of size m.
 
@@ -74,7 +104,7 @@ class IdentityStackCoupling:
     def n(self) -> int:
         return self.m * self.num_blocks
 
-    @property
+    @cached_property
     def partition(self) -> BlockPartition:
         return BlockPartition([self.m] * self.num_blocks)
 
@@ -98,6 +128,11 @@ class IdentityStackCoupling:
     def rmatvec(self, y) -> np.ndarray:
         return np.tile(np.asarray(y, dtype=float), self.num_blocks)
 
+    def gather(self, blocks) -> StackColumns:
+        """A_S for the sorted, distinct ``blocks``."""
+        index = block_coords(self.partition.offset_array, blocks)
+        return StackColumns(index, len(blocks), self.m)
+
     @cached_property
     def col_abs_sums(self) -> np.ndarray:
         out = np.ones(self.n)
@@ -105,13 +140,8 @@ class IdentityStackCoupling:
         return out
 
     def row_abs_sums(self, blocks) -> np.ndarray:
-        idx = sorted({int(j) for j in blocks})
-        if not idx:
-            raise ValueError("block selection must be nonempty")
-        for j in idx:
-            if not 0 <= j < self.num_blocks:
-                raise ValueError(f"block index {j} out of range")
-        return float(len(idx)) * np.ones(self.m)
+        idx = selected_blocks(blocks, self.num_blocks)
+        return float(idx.size) * np.ones(self.m)
 
     @property
     def block_norms(self) -> tuple:
@@ -171,6 +201,11 @@ class SepCCSPInstance:
     def block_slice(self, j: int) -> slice:
         return self.coupling.block_slice(j)
 
+    @cached_property
+    def block_prox(self) -> BlockProx:
+        """The prox of any set of blocks, batched by function class."""
+        return BlockProx(self.block_fns, self.coupling.partition.block_sizes)
+
     def objective(self, x) -> float:
         return float(self.primal_objective(np.asarray(x, dtype=float)))
 
@@ -204,7 +239,7 @@ def make_lasso(A, b, lam: float) -> SepCCSPInstance:
     if lam <= 0:
         raise ValueError("lam must be positive")
     if not isinstance(A, DenseMatrix):
-        A = DenseMatrix(A)
+        A = DenseMatrix(A, order="F")  # the coupling's layout; no second copy
     b = np.asarray(b, dtype=float).copy()
     if b.shape != (A.rows,):
         raise ValueError(f"b has shape {b.shape}, expected ({A.rows},)")
@@ -336,8 +371,11 @@ def make_group_lasso_hinge(features, labels, groups: GroupSpec, lam: float) -> S
     if F.shape[1] != groups.total:
         raise ValueError(f"feature width {F.shape[1]} != sum of group sizes {groups.total}")
 
-    coupling_matrix = DenseMatrix(-(z[:, None] * F) / n_samples)
-    coupling = DenseCoupling(coupling_matrix, groups.partition())
+    # one temporary, scaled in place (bitwise equal to -(z F) / N), copied
+    # once into the coupling's column-major layout
+    scaled = z[:, None] * F
+    np.divide(scaled, -n_samples, out=scaled)
+    coupling = DenseCoupling(DenseMatrix(scaled, order="F"), groups.partition())
     weights = lam * groups.weights
     starts = np.asarray(coupling.partition.offsets[:-1])
 

@@ -38,6 +38,17 @@ def prox_group_l2(v, tau: float) -> np.ndarray:
     return (1.0 - tau / norm) * v
 
 
+def prox_group_l2_segments(v, starts, tau) -> np.ndarray:
+    """``prox_group_l2`` on each segment of v at once: segment g starts at
+    ``starts[g]`` (ascending, the first 0) and is shrunk with ``tau[g] > 0``."""
+    v = np.asarray(v, dtype=float)
+    norms = np.sqrt(np.add.reduceat(v * v, starts))
+    keep = norms > tau
+    scale = np.where(keep, 1.0 - tau / np.where(keep, norms, 1.0), 0.0)
+    sizes = np.diff(np.append(starts, v.size))
+    return v * np.repeat(scale, sizes)
+
+
 def prox_nuclear(V, tau: float) -> np.ndarray:
     """Singular value thresholding: U max(S - tau, 0) W^T for V = U S W^T."""
     M = V.values if hasattr(V, "values") else np.asarray(V, dtype=float)

@@ -1,18 +1,22 @@
 """Stochastic parallel block-coordinate primal-dual engine.
 
-One iteration: sample K of the J blocks, solve each selected block's prox
-subproblem against the current dual (parallelizable, disjoint slices),
-extrapolate the selected blocks, then take one dual resolvent step at the
-variance-reduced linearization point
+One iteration: sample K of the J blocks, solve the selected blocks' prox
+subproblems against the current dual, extrapolate them, then take one dual
+resolvent step at the variance-reduced linearization point
 
     u = r_bar + (J/K) * sum_{j in S} A_j (x_bar_j^new - x_bar_j^old),
 
 and finally refresh the running sum r_bar = sum_j A_j x_bar_j.
 
-Determinism contract: block sampling happens on the run loop thread, block
-results land in disjoint slices, and all reductions over selected blocks are
-performed in ascending block order, so traces are bit-identical for any
-worker count.
+The selected blocks are handled as one column set S: one gather of A_S, one
+product A_S^T y, one prox call per block-function class (``BlockProx``) and
+one product A_S (x_bar_S^new - x_bar_S^old).
+
+Determinism contract: block sampling happens on the run loop thread, and the
+sum over the selected blocks is one fixed-order product, independent of the
+worker count. Workers only run the prox of blocks without a batched form
+(nuclear norm), each writing its own coordinates, so traces are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -57,9 +61,7 @@ def initial_state(instance, x0=None, y0=None) -> SolverState:
     if y.shape != (instance.m,):
         raise ValueError(f"y0 must have shape ({instance.m},)")
     x_bar = x.copy()
-    r_bar = np.zeros(instance.m)
-    for j in range(instance.num_blocks):
-        r_bar += instance.coupling.block_matvec(j, x_bar[instance.block_slice(j)])
+    r_bar = instance.coupling.matvec(x_bar)
     state = SolverState(x=x, x_bar=x_bar, y=y, r_bar=r_bar)
     state.validate()
     return state
@@ -110,7 +112,17 @@ class StepsizeConfig:
             for j, nrm in enumerate(block_norms):
                 h[instance.block_slice(j)] = nrm
 
-        floored = np.flatnonzero(h < floor_eps)
+        below = h < floor_eps
+        h = np.maximum(h, floor_eps)
+
+        # non-separable blocks take the block maximum as a uniform penalty
+        for j, fn in enumerate(instance.block_fns):
+            if not getattr(fn, "separable", True):
+                sl = instance.block_slice(j)
+                h[sl] = h[sl].max()
+
+        # warn only where the floor is still the penalty after that lift
+        floored = np.flatnonzero(below & (h == floor_eps))
         if floored.size:
             shown = ", ".join(map(str, floored[:10]))
             more = "" if floored.size <= 10 else f" (+{floored.size - 10} more)"
@@ -119,13 +131,6 @@ class StepsizeConfig:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            h = np.maximum(h, floor_eps)
-
-        # non-separable blocks take the block maximum as a uniform penalty
-        for j, fn in enumerate(instance.block_fns):
-            if not getattr(fn, "separable", True):
-                sl = instance.block_slice(j)
-                h[sl] = h[sl].max()
 
         return cls(rule=rule, h=h, theta=K / J, floor_eps=floor_eps, K=K, J=J,
                    sigma_override=sigma_override, sigma_scale=sigma_scale,
@@ -166,17 +171,6 @@ def _sigma_for(instance, blocks, config: StepsizeConfig) -> np.ndarray:
     return sigma
 
 
-def primal_block_step(instance, state: SolverState, j: int, h_j) -> np.ndarray:
-    """Exact minimizer of f_j(x_j) + <y, A_j x_j> + (1/2)||x_j - x_j^t||^2_h_j."""
-    sl = instance.block_slice(j)
-    v = state.x[sl] - instance.coupling.block_rmatvec(j, state.y) / h_j
-    return instance.block_fns[j].prox(v, h_j)
-
-
-def extrapolate(x_new, x_old, theta: float) -> np.ndarray:
-    return x_new + theta * (x_new - x_old)
-
-
 def dual_step(instance, state: SolverState, blocks, sigma_t, delta_bar) -> np.ndarray:
     """One dual resolvent step at u = r_bar + (J/K) * delta_bar, where r_bar
     is the pre-update cache."""
@@ -185,50 +179,32 @@ def dual_step(instance, state: SolverState, blocks, sigma_t, delta_bar) -> np.nd
     return instance.dual_fn.resolvent(state.y, u, sigma_t)
 
 
-def _ordered_sum(deltas: dict) -> np.ndarray:
-    keys = sorted(deltas)
-    total = deltas[keys[0]].copy()
-    for j in keys[1:]:
-        total += deltas[j]
-    return total
-
-
-def update_rbar(state: SolverState, deltas: dict) -> np.ndarray:
-    """r_bar += sum of the per-block deltas, accumulated in ascending block
-    order for bit-reproducibility."""
-    if deltas:
-        state.r_bar = state.r_bar + _ordered_sum(deltas)
-    return state.r_bar
-
-
 def iterate(instance, state: SolverState, config: StepsizeConfig,
             rng: np.random.Generator, executor=None) -> SolverState:
     """One full iteration (Algorithm box): sample, primal steps + extrapolate,
-    adaptive dual step, cache refresh."""
+    adaptive dual step, cache refresh.
+
+    The sampled blocks are one column set S: x_S and x_bar_S are updated
+    through S's coordinates, and ``executor`` runs only the prox of blocks
+    that ``BlockProx`` cannot batch.
+    """
     state.validate()
     blocks = sample_blocks(rng, config.J, config.K)
 
-    def block_task(j):
-        sl = instance.block_slice(j)
-        h_j = config.h[sl]
-        x_new = primal_block_step(instance, state, j, h_j)
-        xb_new = extrapolate(x_new, state.x[sl], config.theta)
-        delta = instance.coupling.block_matvec(j, xb_new - state.x_bar[sl])
-        return j, x_new, xb_new, delta
+    columns = instance.coupling.gather(blocks)
+    index = columns.index
+    h = config.h[index]
+    x_old = state.x[index]
+    v = x_old - columns.rmatvec(state.y) / h
+    x_new = instance.block_prox(v, h, index, blocks, executor)
+    xb_new = x_new + config.theta * (x_new - x_old)
+    delta_bar = columns.matvec(xb_new - state.x_bar[index])
 
-    if executor is None:
-        results = [block_task(j) for j in blocks]
-    else:
-        results = list(executor.map(block_task, blocks))
-
-    delta_bar = _ordered_sum({j: delta for j, _, _, delta in results})
     sigma_t = _sigma_for(instance, blocks, config)
     y_new = dual_step(instance, state, blocks, sigma_t, delta_bar)
 
-    for j, x_new, xb_new, _ in results:
-        sl = instance.block_slice(j)
-        state.x[sl] = x_new
-        state.x_bar[sl] = xb_new
+    state.x[index] = x_new
+    state.x_bar[index] = xb_new
     state.y = y_new
     state.r_bar = state.r_bar + delta_bar
     state.t += 1
@@ -236,10 +212,8 @@ def iterate(instance, state: SolverState, config: StepsizeConfig,
 
 
 def rbar_drift(instance, state: SolverState) -> float:
-    """Relative deviation of the r_bar cache from a fresh block-order sum."""
-    fresh = np.zeros(instance.m)
-    for j in range(instance.num_blocks):
-        fresh += instance.coupling.block_matvec(j, state.x_bar[instance.block_slice(j)])
+    """Relative deviation of the r_bar cache from a fresh product A x_bar."""
+    fresh = instance.coupling.matvec(state.x_bar)
     return float(np.linalg.norm(state.r_bar - fresh) / (1.0 + np.linalg.norm(state.r_bar)))
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sepsaddle.matrices import (
     BlockPartition,
+    block_coords,
     DenseCoupling,
     DenseMatrix,
     block_matvec,
@@ -69,6 +70,23 @@ class TestBlockPartition:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             BlockPartition([2, 2]).slice_of(2)
+
+    def test_coords_of_a_run_is_a_slice(self):
+        offsets = BlockPartition([2, 3, 1, 2]).offset_array
+        assert block_coords(offsets, [1, 2]) == slice(2, 6)
+        assert block_coords(offsets, [3]) == slice(6, 8)
+        assert block_coords(offsets, range(4)) == slice(0, 8)
+
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_coords_match_concatenated_slices(self, seed, singletons):
+        gen = np.random.Generator(np.random.PCG64(seed))
+        sizes = np.ones(7, dtype=int) if singletons else gen.integers(1, 4, size=7)
+        P = BlockPartition(sizes)
+        blocks = np.sort(gen.choice(7, size=int(gen.integers(1, 8)), replace=False))
+        expected = np.concatenate([np.arange(P.total)[P.slice_of(j)] for j in blocks])
+        assert np.array_equal(np.arange(P.total)[block_coords(P.offset_array, blocks)],
+                              expected)
 
 
 class TestColAbsSums:
@@ -204,6 +222,40 @@ class TestDenseCoupling:
     def test_block_is_a_view(self):
         coupling = DenseCoupling(DenseMatrix(np.eye(4)), BlockPartition([2, 2]))
         assert np.shares_memory(coupling.block(1), coupling.matrix.values)
+
+    def test_stores_column_major(self, rng):
+        A = rng.standard_normal((3, 5))
+        for matrix in (A, DenseMatrix(A), DenseMatrix(A, order="F")):
+            coupling = DenseCoupling(matrix, BlockPartition([2, 3]))
+            assert coupling.matrix.values.flags.f_contiguous
+            assert np.array_equal(coupling.matrix.values, A)
+        held = DenseMatrix(A, order="F")
+        assert DenseCoupling(held, BlockPartition([5])).matrix is held
+
+    def test_gather_products(self, rng):
+        A = rng.standard_normal((4, 7))
+        coupling = DenseCoupling(DenseMatrix(A), BlockPartition([2, 1, 3, 1]))
+        y = rng.standard_normal(4)
+        for blocks, cols in (([1, 2], [2, 3, 4, 5]), ([0, 3], [0, 1, 6])):
+            columns = coupling.gather(np.array(blocks))
+            v = rng.standard_normal(len(cols))
+            assert np.allclose(columns.rmatvec(y), A[:, cols].T @ y, atol=1e-14)
+            assert np.allclose(columns.matvec(v), A[:, cols] @ v, atol=1e-14)
+        run = coupling.gather(np.array([1, 2]))
+        assert np.shares_memory(run.values, coupling.matrix.values)
+
+    def test_row_abs_sums_checks_selection(self, rng):
+        A = rng.standard_normal((3, 4))
+        coupling = DenseCoupling(DenseMatrix(A), BlockPartition([1, 2, 1]))
+        assert np.array_equal(coupling.row_abs_sums([2, 0, 2]), coupling.row_abs_sums([0, 2]))
+        assert np.allclose(coupling.row_abs_sums(np.array([0, 2])),
+                           np.abs(A[:, [0, 3]]).sum(axis=1), atol=1e-15)
+        with pytest.raises(ValueError, match="nonempty"):
+            coupling.row_abs_sums([])
+        with pytest.raises(ValueError, match="out of range"):
+            coupling.row_abs_sums([3])
+        with pytest.raises(ValueError, match="out of range"):
+            coupling.row_abs_sums([-1, 0])
 
     def test_cached_quantities(self, rng):
         A = rng.standard_normal((4, 6))

@@ -67,6 +67,14 @@ class TestMakeLasso:
         with pytest.raises(ValueError):
             make_lasso(np.eye(3), np.zeros(2), 1.0)
 
+    def test_coupling_is_column_major(self, rng):
+        A = rng.standard_normal((4, 6))
+        inst = make_lasso(A, np.zeros(4), 0.5)
+        stored = inst.coupling.matrix.values
+        assert stored.flags.f_contiguous and np.array_equal(stored, A)
+        # generator output keeps its row-major layout
+        assert gen_lasso(4, 6, 2, seed=0)[0].values.flags.c_contiguous
+
     def test_residual_uses_reference(self):
         inst = make_lasso(np.eye(2), np.array([1.0, 0.0]), 0.5)
         assert np.isnan(inst.residual(np.zeros(2)))
@@ -91,6 +99,24 @@ class TestIdentityStackCoupling:
         y = rng.standard_normal(3)
         assert np.array_equal(coupling.rmatvec(y), np.tile(y, 3))
         assert np.array_equal(coupling.block_matvec(1, y), y)
+
+    def test_gather_tiles_and_sums(self, rng):
+        coupling = IdentityStackCoupling(3, 4)
+        y = rng.standard_normal(3)
+        v = rng.standard_normal(6)
+        for blocks, index in (([1, 2], slice(3, 9)), ([0, 3], [0, 1, 2, 9, 10, 11])):
+            columns = coupling.gather(np.array(blocks))
+            assert np.array_equal(np.arange(12)[columns.index], np.arange(12)[index])
+            assert np.array_equal(columns.rmatvec(y), np.tile(y, 2))
+            assert np.array_equal(columns.matvec(v), v[:3] + v[3:])
+
+    def test_row_abs_sums_checks_selection(self):
+        coupling = IdentityStackCoupling(2, 3)
+        assert np.array_equal(coupling.row_abs_sums([2, 0, 2]), np.full(2, 2.0))
+        with pytest.raises(ValueError, match="nonempty"):
+            coupling.row_abs_sums([])
+        with pytest.raises(ValueError, match="out of range"):
+            coupling.row_abs_sums([0, 3])
 
 
 class TestRpca:
@@ -192,6 +218,14 @@ class TestMakeGroupLassoHinge:
     def test_zero_predictor_objective_is_one(self):
         inst = self.small_instance()
         assert inst.objective(np.zeros(inst.n)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_coupling_is_scaled_features_column_major(self):
+        features, labels, spec = gen_group_lasso(seed=2, n_samples=40)
+        inst = make_group_lasso_hinge(features, labels, spec, 0.05)
+        stored = inst.coupling.matrix.values
+        assert stored.flags.f_contiguous
+        assert np.array_equal(stored, -(labels[:, None] * features.values) / 40)
+        assert features.values.flags.c_contiguous
 
     def test_rejects_bad_labels(self):
         features, labels, spec = gen_group_lasso(seed=2, n_samples=10)

@@ -9,6 +9,7 @@ from sepsaddle.prox import (
     dual_resolvent_linear,
     dual_resolvent_quadratic,
     prox_group_l2,
+    prox_group_l2_segments,
     prox_l1,
     prox_nuclear,
     prox_quadratic_frobenius,
@@ -75,6 +76,20 @@ class TestProxGroupL2:
         tau = gen.uniform(0.01, 3.0)
         lhs = np.linalg.norm(prox_group_l2(u, tau) - prox_group_l2(v, tau))
         assert lhs <= np.linalg.norm(u - v) + 1e-12
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_segments_match_per_group(self, seed):
+        gen = np.random.Generator(np.random.PCG64(seed))
+        sizes = gen.integers(1, 5, size=4)
+        starts = np.cumsum(sizes) - sizes
+        v = gen.standard_normal(sizes.sum())
+        v[starts[1]:starts[2]] = 0.0  # a zero segment stays zero
+        tau = gen.uniform(0.01, 3.0, size=4)
+        out = prox_group_l2_segments(v, starts, tau)
+        for g, (a, n) in enumerate(zip(starts, sizes)):
+            ref = prox_group_l2(v[a:a + n], tau[g])
+            assert np.allclose(out[a:a + n], ref, rtol=1e-14, atol=1e-15)
 
 
 class TestProxNuclear:

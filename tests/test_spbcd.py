@@ -1,31 +1,44 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepsaddle.baselines import preconditioned_pdcp_run
 from sepsaddle.errors import ConfigError, NumericsError, RunAborted
-from sepsaddle.functions import QuadraticDual, ZeroBlock
+from sepsaddle.functions import (
+    GroupL2Block,
+    L1Block,
+    NuclearBlock,
+    QuadraticBlock,
+    QuadraticDual,
+    ZeroBlock,
+)
 from sepsaddle.matrices import BlockPartition, DenseCoupling, DenseMatrix
 from sepsaddle.problems import (
+    GroupSpec,
     SepCCSPInstance,
     gen_group_lasso,
     gen_lasso,
+    gen_rpca,
     make_group_lasso_hinge,
     make_lasso,
     make_rpca,
+    rpca_default_penalties,
 )
 from sepsaddle.spbcd import (
+    STEPSIZE_RULES,
     StepsizeConfig,
+    _sigma_for,
     compute_sigma_t,
     dual_step,
-    extrapolate,
     initial_state,
     iterate,
     iterations_per_pass,
-    primal_block_step,
     rbar_drift,
     run,
     sample_blocks,
-    update_rbar,
 )
 from sepsaddle.verify import prox_oracle, resolvent_oracle
 
@@ -33,6 +46,70 @@ from sepsaddle.verify import prox_oracle, resolvent_oracle
 def hand_instance():
     """2x2 lasso used for the hand-executed trace."""
     return make_lasso(np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([1.0, -1.0]), 0.1)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-block iteration the batched ``iterate`` replaced. Each
+# selected block takes its own primal step, extrapolation and block product,
+# and the block images are summed in ascending block order.
+# ---------------------------------------------------------------------------
+
+def primal_block_step(instance, state, j, h_j):
+    """Exact minimizer of f_j(x_j) + <y, A_j x_j> + (1/2)||x_j - x_j^t||^2_h_j."""
+    sl = instance.block_slice(j)
+    v = state.x[sl] - instance.coupling.block_rmatvec(j, state.y) / h_j
+    return instance.block_fns[j].prox(v, h_j)
+
+
+def extrapolate(x_new, x_old, theta):
+    return x_new + theta * (x_new - x_old)
+
+
+def ordered_sum(deltas):
+    keys = sorted(deltas)
+    total = deltas[keys[0]].copy()
+    for j in keys[1:]:
+        total += deltas[j]
+    return total
+
+
+def update_rbar(state, deltas):
+    """r_bar += the per-block deltas, summed in ascending block order."""
+    if deltas:
+        state.r_bar = state.r_bar + ordered_sum(deltas)
+    return state.r_bar
+
+
+def reference_iterate(instance, state, config, blocks):
+    """One iteration over the given sorted selection, block by block."""
+    deltas = {}
+    updates = []
+    for j in blocks:
+        sl = instance.block_slice(j)
+        x_new = primal_block_step(instance, state, j, config.h[sl])
+        xb_new = extrapolate(x_new, state.x[sl], config.theta)
+        deltas[j] = instance.coupling.block_matvec(j, xb_new - state.x_bar[sl])
+        updates.append((sl, x_new, xb_new))
+    sigma_t = _sigma_for(instance, blocks, config)
+    y_new = dual_step(instance, state, blocks, sigma_t, ordered_sum(deltas))
+    for sl, x_new, xb_new in updates:
+        state.x[sl] = x_new
+        state.x_bar[sl] = xb_new
+    state.y = y_new
+    update_rbar(state, deltas)
+    state.t += 1
+    return state
+
+
+class Draws:
+    """Stands in for the generator so that ``iterate`` takes chosen
+    selections (``sample_blocks`` sorts what ``choice`` returns)."""
+
+    def __init__(self, selections):
+        self._selections = iter(selections)
+
+    def choice(self, J, size, replace):
+        return np.array(next(self._selections))
 
 
 class TestSampleBlocks:
@@ -95,6 +172,31 @@ class TestStepsizeConfig:
         with pytest.warns(RuntimeWarning, match="floored"):
             config = StepsizeConfig.for_instance(inst, K=2)
         assert config.h[1] == pytest.approx(1e-10)
+
+    def test_lifted_floor_does_not_warn(self):
+        # 30 samples leave some interaction columns empty; each group's
+        # maximum lifts them off the floor
+        features, labels, spec = gen_group_lasso(seed=0, n_samples=30)
+        inst = make_group_lasso_hinge(features, labels, spec, 0.1)
+        assert np.any(inst.coupling.col_abs_sums == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            config = StepsizeConfig.for_instance(inst, K=3)
+        assert np.all(config.h > 1e-10)
+
+    def test_all_zero_group_still_warns(self):
+        features = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        labels = np.array([1.0, -1.0])
+        inst = make_group_lasso_hinge(features, labels, GroupSpec((1, 2)), 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            config = StepsizeConfig.for_instance(inst, K=1)
+        assert config.h[1] == 0.5 and config.h[2] == 0.5
+        features[1, 1] = 0.0
+        inst = make_group_lasso_hinge(features, labels, GroupSpec((1, 2)), 0.1)
+        with pytest.warns(RuntimeWarning, match=r"coordinates \[1, 2\]$"):
+            config = StepsizeConfig.for_instance(inst, K=1)
+        assert np.all(config.h[1:] == 1e-10)
 
     def test_group_blocks_get_uniform_h(self):
         features, labels, spec = gen_group_lasso(seed=0, n_samples=30)
@@ -238,6 +340,9 @@ class TestDualStep:
 
 
 class TestUpdateRbar:
+    """``update_rbar`` is the reference loop's; the runs check the engine's
+    cache."""
+
     def test_no_deltas_no_change(self, small_lasso, rng):
         state = initial_state(small_lasso, x0=rng.standard_normal(small_lasso.n))
         before = state.r_bar.copy()
@@ -358,3 +463,89 @@ class TestRun:
             return p
 
         run(inst, config, pass_budget=5, metric_callback=check, seed=1)
+
+    def test_rpca_worker_count_does_not_change_state(self):
+        """Workers run only the nuclear block's prox; the state after 30
+        iterations is bitwise the same for any worker count."""
+        B = gen_rpca(6, 8, 2, seed=3)
+        inst = make_rpca(B, *rpca_default_penalties(B))
+        for K in (2, 3):
+            config = StepsizeConfig.for_instance(inst, K=K)
+            passes = 30 // iterations_per_pass(3, K)
+            ref, _ = run(inst, config, pass_budget=passes, seed=4)
+            for workers in (2, 8):
+                state, _ = run(inst, config, pass_budget=passes, seed=4, workers=workers)
+                for name in ("x", "x_bar", "y", "r_bar"):
+                    assert np.array_equal(getattr(state, name), getattr(ref, name)), (K, workers, name)
+
+
+# ---------------------------------------------------------------------------
+# The batched iteration against the per-block reference loop
+# ---------------------------------------------------------------------------
+
+def property_instance(kind, gen):
+    if kind == "lasso":
+        A, b, lam = gen_lasso(6, 9, 3, seed=int(gen.integers(1 << 30)))
+        return make_lasso(A, b, lam)
+    if kind == "group-lasso":
+        spec = GroupSpec((3, 1, 4, 2))
+        features = gen.standard_normal((7, spec.total))
+        labels = np.where(gen.standard_normal(7) > 0, 1.0, -1.0)
+        return make_group_lasso_hinge(features, labels, spec, 0.05)
+    if kind == "rpca":
+        B = gen.standard_normal((3, 4))
+        return make_rpca(B, *rpca_default_penalties(B))
+    # every function class, interleaved, so selections mix them
+    block_fns = (ZeroBlock(), QuadraticBlock(), GroupL2Block(0.2), QuadraticBlock(),
+                 NuclearBlock(0.3, 2, 2), ZeroBlock(), L1Block(0.1), GroupL2Block(0.4))
+    sizes = (2, 1, 3, 2, 4, 1, 2, 2)
+    A = gen.standard_normal((4, sum(sizes)))
+    return SepCCSPInstance(
+        coupling=DenseCoupling(DenseMatrix(A), BlockPartition(sizes)),
+        block_fns=block_fns,
+        dual_fn=QuadraticDual(gen.standard_normal(4)),
+        primal_objective=lambda x: 0.5 * float(x @ x),
+        residual_kind="suboptimality",
+    )
+
+
+def selection(gen, J, K, layout):
+    if layout == "run" or K in (1, J):
+        start = int(gen.integers(J - K + 1))
+        return np.arange(start, start + K)
+    while True:
+        blocks = np.sort(gen.choice(J, size=K, replace=False))
+        if blocks[-1] - blocks[0] > K - 1:
+            return blocks
+
+
+@given(kind=st.sampled_from(["lasso", "group-lasso", "rpca", "mixed"]),
+       size=st.sampled_from(["one", "random", "all"]),
+       layout=st.sampled_from(["run", "scattered"]),
+       rule=st.sampled_from(STEPSIZE_RULES),
+       sigma_scale=st.sampled_from([1.0, 0.5, 3.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_batched_iterate_matches_per_block_loop(kind, size, layout, rule, sigma_scale, seed):
+    """The batched step changes only the order of summation, so every
+    iterate stays within 1e-12 (relative) of the per-block loop."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    inst = property_instance(kind, gen)
+    J = inst.num_blocks
+    K = {"one": 1, "all": J}.get(size) or int(gen.integers(2, J))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # floored penalties
+        config = StepsizeConfig.for_instance(inst, K=K, rule=rule, sigma_scale=sigma_scale)
+    x0 = gen.standard_normal(inst.n)
+    y0 = gen.uniform(0.0, 1.0, inst.m)
+    selections = [selection(gen, J, K, layout) for _ in range(4)]
+    batched = initial_state(inst, x0=x0, y0=y0)
+    reference = initial_state(inst, x0=x0, y0=y0)
+    draws = Draws(selections)
+    for blocks in selections:
+        iterate(inst, batched, config, draws)
+        reference_iterate(inst, reference, config, blocks)
+        for name in ("x", "x_bar", "y", "r_bar"):
+            got, want = getattr(batched, name), getattr(reference, name)
+            scale = max(1.0, float(np.abs(want).max()))
+            assert np.abs(got - want).max() <= 1e-12 * scale, name
