@@ -23,7 +23,6 @@ from .matrices import (
     DenseMatrix,
     block_matvec,
     col_abs_sums,
-    row_abs_sums_over_blocks,
     spectral_norm_estimate,
 )
 from .problems import (
@@ -69,7 +68,6 @@ __all__ = [
     "pdcp_run",
     "preconditioned_pdcp_iterate",
     "preconditioned_pdcp_run",
-    "row_abs_sums_over_blocks",
     "rpca_default_penalties",
     "run",
     "run_experiment",

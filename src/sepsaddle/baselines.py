@@ -99,7 +99,8 @@ def pdcp_run(instance, config: PdcpConfig, passes: int, metric_callback=None,
 
 def preconditioned_penalties(instance, floor_eps: float = 1e-10):
     """Per-coordinate h_d = column abs sums (block-uniformized where the prox
-    needs it) and per-row sigma_k = full row abs sums."""
+    needs it) and per-row sigma_k = full row abs sums, taken the way the
+    block engine's adaptive-l1 rule takes them at K = J."""
     h = np.maximum(np.array(instance.coupling.col_abs_sums, dtype=float), floor_eps)
     for j, fn in enumerate(instance.block_fns):
         if not getattr(fn, "separable", True):

@@ -1,9 +1,11 @@
 """Dense coupling matrices, column-block partitions, and the absolute-sum /
 norm quantities the stepsize rules consume.
 
-Storage is row-major (C order) float64 throughout; column-block slices are
-numpy views, never copies. Matrices are immutable after construction and safe
-to share across worker threads.
+Matrices are float64, immutable after construction and safe to share across
+worker threads. A ``DenseMatrix`` keeps the layout it was built with (C order
+by default); a ``DenseCoupling`` stores its matrix column-major, so a single
+block and any run of consecutive blocks are views, and a scattered set of
+blocks is one gather of their columns.
 """
 
 from __future__ import annotations
@@ -22,7 +24,17 @@ class DenseMatrix:
     """
 
     def __init__(self, data, order: str = "C"):
-        arr = np.array(data, dtype=float, order=order)
+        self._freeze(np.array(data, dtype=float, order=order))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "DenseMatrix":
+        """Wrap a float64 array its builder owns and no longer writes,
+        without copying it; the same checks as the constructor."""
+        matrix = cls.__new__(cls)
+        matrix._freeze(arr)
+        return matrix
+
+    def _freeze(self, arr: np.ndarray):
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -131,18 +143,6 @@ def col_abs_sums(A) -> np.ndarray:
     return np.abs(_values(A)).sum(axis=0)
 
 
-def row_abs_sums_over_blocks(A, partition: BlockPartition, blocks) -> np.ndarray:
-    """Per-row absolute sums restricted to the selected column blocks."""
-    M = _values(A)
-    idx = sorted({int(j) for j in blocks})
-    if not idx:
-        raise ValueError("block selection must be nonempty")
-    out = np.zeros(M.shape[0])
-    for j in idx:
-        out += np.abs(M[:, partition.slice_of(j)]).sum(axis=1)
-    return out
-
-
 def block_matvec(A, partition: BlockPartition, j: int, v) -> np.ndarray:
     """A_j @ v for column block j."""
     M = _values(A)
@@ -201,16 +201,19 @@ def spectral_norm_estimate(A, tol: float = 1e-6, max_iters: int = 1000) -> Spect
 
 
 class DenseColumns:
-    """The columns A_S of a set S of blocks, gathered once for both products.
+    """The columns A_S of a set S of blocks, gathered once for both products
+    and the dual stepsize rule.
 
     ``index`` selects S's coordinates of a primal vector, in block order.
     """
 
-    __slots__ = ("index", "values")
+    __slots__ = ("index", "values", "blocks", "_coupling")
 
-    def __init__(self, values: np.ndarray, index):
+    def __init__(self, values: np.ndarray, index, blocks, coupling: "DenseCoupling"):
         self.values = values
         self.index = index
+        self.blocks = blocks
+        self._coupling = coupling
 
     def rmatvec(self, y) -> np.ndarray:
         """A_S^T y."""
@@ -220,6 +223,17 @@ class DenseColumns:
         """A_S v, for v ordered like ``index``."""
         return self.values @ v
 
+    def row_abs_sums(self) -> np.ndarray:
+        """sum over d in S of |A_kd|, for every row k.
+
+        Summed over the gathered columns when every block is one column;
+        otherwise the selected blocks' rows of the coupling's per-block cache
+        are added, which is cheaper than summing wide blocks afresh.
+        """
+        if self._coupling.single_columns:
+            return np.abs(self.values).sum(axis=1)
+        return self._coupling._block_row_abs_sums[self.blocks].sum(axis=0)
+
 
 class DenseCoupling:
     """Column-block view of a dense coupling matrix, stored column-major.
@@ -227,7 +241,9 @@ class DenseCoupling:
     A matrix in C order is copied once into Fortran order; builders that own
     their data construct it in Fortran order directly so that no second copy
     exists. Caches the derived stepsize quantities (column sums, block norms,
-    the spectral norm) so they are computed once per instance. Immutable.
+    the spectral norm) so they are computed once per instance; the per-block
+    row sums behind the dual stepsize rule are cached only when some block is
+    wider than one column. Immutable.
     """
 
     def __init__(self, matrix: DenseMatrix, partition: BlockPartition):
@@ -241,6 +257,7 @@ class DenseCoupling:
             )
         self.matrix = matrix
         self.partition = partition
+        self.single_columns = partition.total == partition.num_blocks
 
     @property
     def m(self) -> int:
@@ -270,7 +287,7 @@ class DenseCoupling:
         """A_S for the sorted, distinct ``blocks``: a view when they are
         consecutive, otherwise one gather of their columns."""
         index = block_coords(self.partition.offset_array, blocks)
-        return DenseColumns(self.matrix.values[:, index], index)
+        return DenseColumns(self.matrix.values[:, index], index, blocks, self)
 
     def matvec(self, x) -> np.ndarray:
         return self.matrix.values @ x
@@ -286,8 +303,8 @@ class DenseCoupling:
 
     @cached_property
     def _block_row_abs_sums(self) -> np.ndarray:
-        # (J, m): row absolute sums within each block, cached because the
-        # dual stepsize rule sums a subset of these every iteration
+        # (J, m): row absolute sums within each block, built on the first
+        # wide selection; single-column partitions never need it
         out = np.stack([
             np.abs(self.block(j)).sum(axis=1) for j in range(self.num_blocks)
         ])
@@ -295,8 +312,8 @@ class DenseCoupling:
         return out
 
     def row_abs_sums(self, blocks) -> np.ndarray:
-        idx = selected_blocks(blocks, self.num_blocks)
-        return self._block_row_abs_sums[idx].sum(axis=0)
+        """Row absolute sums over the selected blocks (duplicates collapse)."""
+        return self.gather(selected_blocks(blocks, self.num_blocks)).row_abs_sums()
 
     @cached_property
     def block_norms(self) -> tuple[float, ...]:

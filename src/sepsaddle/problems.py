@@ -86,6 +86,10 @@ class StackColumns:
         """A_S v: the sum of v's blocks, added in block order."""
         return np.asarray(v).reshape(self.count, self.m).sum(axis=0)
 
+    def row_abs_sums(self) -> np.ndarray:
+        """Every row of A_S holds ``count`` ones."""
+        return float(self.count) * np.ones(self.m)
+
 
 class IdentityStackCoupling:
     """Structural [I I ... I] coupling: J identity blocks of size m.
@@ -140,8 +144,8 @@ class IdentityStackCoupling:
         return out
 
     def row_abs_sums(self, blocks) -> np.ndarray:
-        idx = selected_blocks(blocks, self.num_blocks)
-        return float(idx.size) * np.ones(self.m)
+        """Row absolute sums over the selected blocks (duplicates collapse)."""
+        return self.gather(selected_blocks(blocks, self.num_blocks)).row_abs_sums()
 
     @property
     def block_norms(self) -> tuple:
@@ -371,11 +375,11 @@ def make_group_lasso_hinge(features, labels, groups: GroupSpec, lam: float) -> S
     if F.shape[1] != groups.total:
         raise ValueError(f"feature width {F.shape[1]} != sum of group sizes {groups.total}")
 
-    # one temporary, scaled in place (bitwise equal to -(z F) / N), copied
-    # once into the coupling's column-major layout
-    scaled = z[:, None] * F
+    # written once, straight into the coupling's column-major layout, and
+    # scaled in place (bitwise equal to -(z F) / N)
+    scaled = np.multiply(z[:, None], F, order="F")
     np.divide(scaled, -n_samples, out=scaled)
-    coupling = DenseCoupling(DenseMatrix(scaled, order="F"), groups.partition())
+    coupling = DenseCoupling(DenseMatrix._adopt(scaled), groups.partition())
     weights = lam * groups.weights
     starts = np.asarray(coupling.partition.offsets[:-1])
 

@@ -10,7 +10,8 @@ and finally refresh the running sum r_bar = sum_j A_j x_bar_j.
 
 The selected blocks are handled as one column set S: one gather of A_S, one
 product A_S^T y, one prox call per block-function class (``BlockProx``) and
-one product A_S (x_bar_S^new - x_bar_S^old).
+one product A_S (x_bar_S^new - x_bar_S^old). The adaptive dual penalties are
+summed from the same gathered columns.
 
 Determinism contract: block sampling happens on the run loop thread, and the
 sum over the selected blocks is one fixed-order product, independent of the
@@ -145,14 +146,19 @@ def sample_blocks(rng: np.random.Generator, J: int, K: int) -> np.ndarray:
 
 
 def compute_sigma_t(coupling, blocks, K: int, J: int, rule: str = "adaptive-l1",
-                    floor_eps: float = FLOOR_EPS, block_norms=None) -> np.ndarray:
+                    floor_eps: float = FLOOR_EPS, block_norms=None, *,
+                    columns=None) -> np.ndarray:
     """Per-iteration dual penalties for the selected blocks.
 
     adaptive-l1:     sigma_k = (J/K) sum_{j in S} sum_{d in block j} |A_kd|
     block-spectral:  sigma_k = (J/K) sum_{j in S} ||A_j||  (constant over k)
+
+    ``columns`` is ``coupling.gather(blocks)`` when the caller already holds
+    it; adaptive-l1 then sums those columns instead of gathering again.
     """
     if rule == "adaptive-l1":
-        sigma = (J / K) * coupling.row_abs_sums(blocks)
+        rows = coupling.row_abs_sums(blocks) if columns is None else columns.row_abs_sums()
+        sigma = (J / K) * rows
     elif rule == "block-spectral":
         norms = block_norms if block_norms is not None else coupling.block_norms
         sigma = np.full(coupling.m, (J / K) * sum(norms[j] for j in blocks))
@@ -161,11 +167,12 @@ def compute_sigma_t(coupling, blocks, K: int, J: int, rule: str = "adaptive-l1",
     return np.maximum(sigma, floor_eps)
 
 
-def _sigma_for(instance, blocks, config: StepsizeConfig) -> np.ndarray:
+def _sigma_for(instance, blocks, config: StepsizeConfig, columns=None) -> np.ndarray:
     if config.sigma_override is not None:
         return np.full(instance.m, max(config.sigma_override, config.floor_eps))
     sigma = compute_sigma_t(instance.coupling, blocks, config.K, config.J,
-                            config.rule, config.floor_eps, config.block_norms)
+                            config.rule, config.floor_eps, config.block_norms,
+                            columns=columns)
     if config.sigma_scale != 1.0:
         sigma = np.maximum(sigma * config.sigma_scale, config.floor_eps)
     return sigma
@@ -200,7 +207,7 @@ def iterate(instance, state: SolverState, config: StepsizeConfig,
     xb_new = x_new + config.theta * (x_new - x_old)
     delta_bar = columns.matvec(xb_new - state.x_bar[index])
 
-    sigma_t = _sigma_for(instance, blocks, config)
+    sigma_t = _sigma_for(instance, blocks, config, columns)
     y_new = dual_step(instance, state, blocks, sigma_t, delta_bar)
 
     state.x[index] = x_new

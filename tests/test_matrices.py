@@ -10,13 +10,21 @@ from sepsaddle.matrices import (
     DenseMatrix,
     block_matvec,
     col_abs_sums,
-    row_abs_sums_over_blocks,
     spectral_norm_estimate,
 )
 
 
 def identity_stack(m, copies):
     return DenseMatrix(np.hstack([np.eye(m)] * copies))
+
+
+def block_cache_row_abs_sums(coupling, blocks):
+    """Reference: the dual stepsize rule's row sums as a per-block cache
+    gives them, one (J, m) row of absolute sums per block and the selected
+    rows added in ascending block order."""
+    cache = np.stack([np.abs(coupling.block(j)).sum(axis=1)
+                      for j in range(coupling.num_blocks)])
+    return cache[np.unique(blocks)].sum(axis=0)
 
 
 class TestDenseMatrix:
@@ -45,6 +53,16 @@ class TestDenseMatrix:
         M = DenseMatrix(np.ones((3, 4)))
         assert (M.rows, M.cols) == (3, 4)
         assert M.shape == (3, 4)
+
+    def test_adopt_keeps_the_array_and_freezes_it(self):
+        arr = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        M = DenseMatrix._adopt(arr)
+        assert M.values is arr
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="finite"):
+            DenseMatrix._adopt(np.array([[1.0, np.nan]]))
+        with pytest.raises(ValueError):
+            DenseMatrix._adopt(np.zeros(3))
 
 
 class TestBlockPartition:
@@ -111,12 +129,12 @@ class TestRowAbsSumsOverBlocks:
     def test_selected_single_columns(self):
         A = DenseMatrix([[1, -2, 0], [0, 3, 1]])
         P = BlockPartition.singletons(3)
-        assert np.array_equal(row_abs_sums_over_blocks(A, P, [0, 2]), [1, 1])
+        assert np.array_equal(DenseCoupling(A, P).row_abs_sums([0, 2]), [1, 1])
 
     def test_all_blocks_is_plain_row_sums(self):
         A = DenseMatrix([[1, -2, 0], [0, 3, 1]])
         P = BlockPartition.singletons(3)
-        assert np.array_equal(row_abs_sums_over_blocks(A, P, [0, 1, 2]), [3, 4])
+        assert np.array_equal(DenseCoupling(A, P).row_abs_sums([0, 1, 2]), [3, 4])
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_identity_stack_counts_blocks(self, K):
@@ -130,17 +148,17 @@ class TestRowAbsSumsOverBlocks:
             for k in range(2):
                 for dcol in range(2 * j, 2 * j + 2):
                     expected[k] += abs(A.values[k, dcol])
-        out = row_abs_sums_over_blocks(A, P, blocks)
+        out = DenseCoupling(A, P).row_abs_sums(blocks)
         assert np.array_equal(out, expected)
         assert np.array_equal(out, np.full(2, float(K)))
 
     def test_rejects_empty_selection(self):
         with pytest.raises(ValueError):
-            row_abs_sums_over_blocks(DenseMatrix(np.eye(2)), BlockPartition([1, 1]), [])
+            DenseCoupling(DenseMatrix(np.eye(2)), BlockPartition([1, 1])).row_abs_sums([])
 
     def test_rejects_bad_block(self):
         with pytest.raises(ValueError):
-            row_abs_sums_over_blocks(DenseMatrix(np.eye(2)), BlockPartition([1, 1]), [5])
+            DenseCoupling(DenseMatrix(np.eye(2)), BlockPartition([1, 1])).row_abs_sums([5])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -148,8 +166,60 @@ class TestRowAbsSumsOverBlocks:
         gen = np.random.Generator(np.random.PCG64(seed))
         A = gen.standard_normal((4, 7))
         P = BlockPartition([2, 1, 3, 1])
-        out = row_abs_sums_over_blocks(DenseMatrix(A), P, range(4))
+        out = DenseCoupling(DenseMatrix(A), P).row_abs_sums(range(4))
         assert np.allclose(out, np.abs(A).sum(axis=1), rtol=0, atol=1e-14)
+
+
+@st.composite
+def partitions_and_selections(draw):
+    """A partition of one of three kinds and a sorted selection that is
+    either one run of consecutive blocks or any distinct set."""
+    kind = draw(st.sampled_from(["single-column", "wide", "mixed"]))
+    J = draw(st.integers(1, 12))
+    low = {"single-column": 1, "wide": 2, "mixed": 1}[kind]
+    high = {"single-column": 1, "wide": 5, "mixed": 5}[kind]
+    sizes = draw(st.lists(st.integers(low, high), min_size=J, max_size=J))
+    if draw(st.booleans()):
+        K = draw(st.integers(1, J))
+        start = draw(st.integers(0, J - K))
+        blocks = list(range(start, start + K))
+    else:
+        blocks = sorted(draw(st.sets(st.integers(0, J - 1), min_size=1)))
+    return kind, sizes, np.array(blocks)
+
+
+class TestGatheredRowAbsSums:
+    @given(partitions_and_selections(), st.integers(1, 8), st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force(self, drawn, m, seed):
+        kind, sizes, blocks = drawn
+        P = BlockPartition(sizes)
+        A = np.random.Generator(np.random.PCG64(seed)).standard_normal((m, P.total))
+        coupling = DenseCoupling(DenseMatrix(A), P)
+        coords = np.concatenate([np.arange(P.offsets[j], P.offsets[j + 1]) for j in blocks])
+        out = coupling.gather(blocks).row_abs_sums()
+        assert np.allclose(out, np.abs(A[:, coords]).sum(axis=1), rtol=1e-14, atol=0)
+        if kind == "single-column":
+            assert np.array_equal(out, block_cache_row_abs_sums(coupling, blocks))
+
+    @pytest.mark.parametrize("K", [1, 2, 9, 40, 120])
+    def test_single_columns_bitwise_equal_to_block_cache(self, rng, K):
+        A = rng.standard_normal((30, 120))
+        coupling = DenseCoupling(DenseMatrix(A), BlockPartition.singletons(120))
+        for blocks in (np.arange(K), np.sort(rng.choice(120, K, replace=False))):
+            assert np.array_equal(coupling.gather(blocks).row_abs_sums(),
+                                  block_cache_row_abs_sums(coupling, blocks))
+            assert np.array_equal(coupling.row_abs_sums(blocks),
+                                  block_cache_row_abs_sums(coupling, blocks))
+        assert "_block_row_abs_sums" not in vars(coupling)
+
+    def test_wide_blocks_sum_the_block_cache(self, rng):
+        A = rng.standard_normal((5, 9))
+        coupling = DenseCoupling(DenseMatrix(A), BlockPartition([1, 3, 4, 1]))
+        assert "_block_row_abs_sums" not in vars(coupling)
+        out = coupling.gather(np.array([0, 2])).row_abs_sums()
+        assert "_block_row_abs_sums" in vars(coupling)
+        assert np.allclose(out, np.abs(A[:, [0, 4, 5, 6, 7]]).sum(axis=1), rtol=1e-14, atol=0)
 
 
 class TestBlockMatvec:

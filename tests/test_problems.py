@@ -226,6 +226,7 @@ class TestMakeGroupLassoHinge:
         assert stored.flags.f_contiguous
         assert np.array_equal(stored, -(labels[:, None] * features.values) / 40)
         assert features.values.flags.c_contiguous
+        assert not stored.flags.writeable and stored.flags.owndata
 
     def test_rejects_bad_labels(self):
         features, labels, spec = gen_group_lasso(seed=2, n_samples=10)

@@ -453,6 +453,14 @@ class TestRun:
             assert np.array_equal(x1, x2)
             assert np.array_equal(y1, y2)
 
+    def test_lasso_run_never_builds_block_row_cache(self):
+        # single-column blocks take sigma^t from the gathered columns
+        A, b, lam = gen_lasso(8, 12, 3, seed=21)
+        inst = make_lasso(A, b, lam)
+        for K in (1, 5, 12):
+            run(inst, StepsizeConfig.for_instance(inst, K=K), pass_budget=3, seed=4)
+        assert "_block_row_abs_sums" not in inst.coupling.__dict__
+
     def test_group_lasso_dual_stays_in_box(self):
         features, labels, spec = gen_group_lasso(seed=2, n_samples=40)
         inst = make_group_lasso_hinge(features, labels, spec, 0.02)
