@@ -1,23 +1,29 @@
 """Reference solvers: the scalar-stepsize primal-dual method, its diagonally
 preconditioned variant, and ISTA/FISTA for lasso.
 
+Every run is its step inside ``spbcd.timed_passes``, the engine's own timed
+pass loop, so all solvers time, trace and abort alike. pdcp takes its primal
+prox over all blocks in one ``instance.block_prox`` call. The two references
+(``fista_reference``, ``preconditioned_reference``) are the FISTA and the
+preconditioned steps under one stopping rule, ``_settle``.
+
 The preconditioned path is deliberately a separate implementation from the
-block engine (full-matrix products, no sampling, no running-sum cache): with
-all blocks selected every iteration the two must produce identical iterates,
-which makes this module the engine's equivalence oracle.
+block engine (full-matrix products, no sampling, no running-sum cache, one
+prox call per block): with all blocks selected every iteration the two must
+produce identical iterates, which makes it the engine's equivalence oracle.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .matrices import spectral_norm_estimate
+from .matrices import _values, spectral_norm_estimate
 from .prox import prox_l1
+from .spbcd import timed_passes
 
 
 @dataclass
@@ -57,14 +63,14 @@ def pdcp_initial_state(instance, x0=None, y0=None) -> PdcpState:
 
 def pdcp_iterate(instance, state: PdcpState, config: PdcpConfig) -> PdcpState:
     """One batch step, dual first: resolvent at A x_bar^t, then the primal
-    prox at A^T y^{t+1}, then extrapolation."""
+    prox of every block at A^T y^{t+1} in one ``block_prox`` call, then
+    extrapolation."""
     u = instance.coupling.matvec(state.x_bar)
     y_new = instance.dual_fn.resolvent(state.y, u, config.sigma)
     grad = instance.coupling.rmatvec(y_new)
-    x_new = np.empty(instance.n)
-    for j, fn in enumerate(instance.block_fns):
-        sl = instance.block_slice(j)
-        x_new[sl] = fn.prox(state.x[sl] - grad[sl] / config.h, config.h)
+    n = instance.n
+    x_new = instance.block_prox(state.x - grad / config.h, np.full(n, config.h),
+                                slice(0, n), np.arange(instance.num_blocks))
     state.x_bar = x_new + config.theta * (x_new - state.x)
     state.x = x_new
     state.y = y_new
@@ -85,16 +91,8 @@ def pdcp_run(instance, config: PdcpConfig, passes: int, metric_callback=None,
             RuntimeWarning,
             stacklevel=2,
         )
-    state = pdcp_initial_state(instance, x0, y0)
-    trace = []
-    elapsed = 0.0
-    for pass_index in range(1, passes + 1):
-        tic = time.perf_counter()
-        pdcp_iterate(instance, state, config)
-        elapsed += time.perf_counter() - tic
-        if metric_callback is not None:
-            trace.append(metric_callback(pass_index, state, elapsed))
-    return state, trace
+    return timed_passes(lambda state: pdcp_iterate(instance, state, config),
+                        pdcp_initial_state(instance, x0, y0), passes, metric_callback)
 
 
 def preconditioned_penalties(instance, floor_eps: float = 1e-10):
@@ -138,17 +136,38 @@ def preconditioned_pdcp_run(instance, passes: int, metric_callback=None,
                             x0=None, y0=None):
     if passes < 1:
         raise ValueError("passes must be >= 1")
-    state = pdcp_initial_state(instance, x0, y0)
     penalties = preconditioned_penalties(instance)
-    trace = []
-    elapsed = 0.0
-    for pass_index in range(1, passes + 1):
-        tic = time.perf_counter()
-        preconditioned_pdcp_iterate(instance, state, penalties)
-        elapsed += time.perf_counter() - tic
-        if metric_callback is not None:
-            trace.append(metric_callback(pass_index, state, elapsed))
-    return state, trace
+    return timed_passes(lambda state: preconditioned_pdcp_iterate(instance, state, penalties),
+                        pdcp_initial_state(instance, x0, y0), passes, metric_callback)
+
+
+def _settle(step, state, objective, tol: float, window: int, max_passes: int, what: str):
+    """Run ``state = step(state)`` until ``objective(state)`` changes by less
+    than ``tol`` (relative) over ``window`` passes. Returns (state, objective)."""
+    prev = objective(state)
+    passes = 0
+    while passes < max_passes:
+        for _ in range(window):
+            state = step(state)
+        passes += window
+        cur = objective(state)
+        if abs(prev - cur) <= tol * max(1.0, abs(cur)):
+            return state, cur
+        prev = cur
+    raise ConvergenceError(
+        f"{what} did not settle within {max_passes} passes (last objective {prev:.9e})"
+    )
+
+
+def preconditioned_reference(instance, tol: float = 1e-10, window: int = 50,
+                             max_passes: int = 200_000):
+    """Diagonally preconditioned run until the instance objective changes by
+    less than ``tol`` (relative) over ``window`` passes. Returns (x, y)."""
+    penalties = preconditioned_penalties(instance)
+    state, _ = _settle(lambda state: preconditioned_pdcp_iterate(instance, state, penalties),
+                       pdcp_initial_state(instance), lambda state: instance.objective(state.x),
+                       tol, window, max_passes, "preconditioned reference")
+    return state.x, state.y
 
 
 # ---------------------------------------------------------------------------
@@ -160,109 +179,63 @@ def lipschitz_upper(A, tol: float = 1e-6) -> float:
     return spectral_norm_estimate(A, tol=tol, max_iters=5000).value ** 2 * 1.01
 
 
-def _dense(A) -> np.ndarray:
-    return A.values if hasattr(A, "values") else np.asarray(A, dtype=float)
-
-
 def ista_step(A, b, lam: float, L: float, x) -> np.ndarray:
     """x' = soft-threshold(x - (1/L) A^T(Ax - b), lam/L)."""
-    M = _dense(A)
+    M = _values(A)
     return prox_l1(x - M.T @ (M @ x - b) / L, lam / L)
+
+
+def _fista_steps(M, b, lam: float, L: float, x):
+    """The FISTA iterates after x: ``ista_step`` at the momentum point, with
+    t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2 and t_1 = 1."""
+    momentum = x.copy()
+    t_k = 1.0
+    while True:
+        x_new = ista_step(M, b, lam, L, momentum)
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
+        momentum = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
+        x, t_k = x_new, t_next
+        yield x
+
+
+def _lasso_start(A, L, x0):
+    M = _values(A)
+    if L is None:
+        L = lipschitz_upper(M)
+    x = np.zeros(M.shape[1]) if x0 is None else np.array(x0, dtype=float)
+    return M, L, x
 
 
 def ista_run(A, b, lam: float, passes: int, L: float | None = None,
              metric_callback=None, x0=None):
-    M = _dense(A)
-    if L is None:
-        L = lipschitz_upper(M)
-    x = np.zeros(M.shape[1]) if x0 is None else np.array(x0, dtype=float)
-    trace = []
-    elapsed = 0.0
-    for pass_index in range(1, passes + 1):
-        tic = time.perf_counter()
-        x = ista_step(M, b, lam, L, x)
-        elapsed += time.perf_counter() - tic
-        if metric_callback is not None:
-            trace.append(metric_callback(pass_index, x, elapsed))
-    return x, trace
+    """Proximal gradient; passes=0 returns the initializer."""
+    if passes < 0:
+        raise ValueError("passes must be >= 0")
+    M, L, x = _lasso_start(A, L, x0)
+    return timed_passes(lambda x: ista_step(M, b, lam, L, x), x, passes, metric_callback)
+
+
+def fista_run(A, b, lam: float, L: float | None = None, passes: int = 100,
+              metric_callback=None, x0=None):
+    """Accelerated shrinkage (``_fista_steps``); passes=0 returns the
+    initializer."""
+    if passes < 0:
+        raise ValueError("passes must be >= 0")
+    M, L, x = _lasso_start(A, L, x0)
+    steps = _fista_steps(M, b, lam, L, x)
+    return timed_passes(lambda _: next(steps), x, passes, metric_callback)
 
 
 def fista_reference(A, b, lam: float, tol: float = 1e-10, window: int = 50,
                     max_passes: int = 200_000):
     """Accelerated shrinkage until the lasso objective changes by less than
     ``tol`` (relative) over ``window`` passes. Returns (x, objective)."""
-    M = _dense(A)
-    L = lipschitz_upper(M)
-    x = np.zeros(M.shape[1])
-    momentum = x.copy()
-    t_k = 1.0
+    M, L, x = _lasso_start(A, None, None)
+    steps = _fista_steps(M, b, lam, L, x)
 
     def objective(z):
         r = M @ z - b
         return 0.5 * float(r @ r) + lam * float(np.abs(z).sum())
 
-    prev = objective(x)
-    passes = 0
-    while passes < max_passes:
-        for _ in range(window):
-            x_new = ista_step(M, b, lam, L, momentum)
-            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
-            momentum = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
-            x, t_k = x_new, t_next
-            passes += 1
-        cur = objective(x)
-        if abs(prev - cur) <= tol * max(1.0, abs(cur)):
-            return x, cur
-        prev = cur
-    raise ConvergenceError(
-        f"lasso reference did not settle within {max_passes} passes "
-        f"(last objective {prev:.9e})"
-    )
-
-
-def preconditioned_reference(instance, tol: float = 1e-10, window: int = 50,
-                             max_passes: int = 200_000):
-    """Diagonally preconditioned run until the instance objective changes by
-    less than ``tol`` (relative) over ``window`` passes. Returns (x, y)."""
-    state = pdcp_initial_state(instance)
-    penalties = preconditioned_penalties(instance)
-    prev = instance.objective(state.x)
-    passes = 0
-    while passes < max_passes:
-        for _ in range(window):
-            preconditioned_pdcp_iterate(instance, state, penalties)
-            passes += 1
-        cur = instance.objective(state.x)
-        if abs(prev - cur) <= tol * max(1.0, abs(cur)):
-            return state.x, state.y
-        prev = cur
-    raise ConvergenceError(
-        f"preconditioned reference did not settle within {max_passes} passes "
-        f"(last objective {prev:.9e})"
-    )
-
-
-def fista_run(A, b, lam: float, L: float | None = None, passes: int = 100,
-              metric_callback=None, x0=None):
-    """Momentum sequence t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2 over ista_step;
-    passes=0 returns the initializer."""
-    M = _dense(A)
-    if passes < 0:
-        raise ValueError("passes must be >= 0")
-    if L is None:
-        L = lipschitz_upper(M)
-    x = np.zeros(M.shape[1]) if x0 is None else np.array(x0, dtype=float)
-    momentum = x.copy()
-    t_k = 1.0
-    trace = []
-    elapsed = 0.0
-    for pass_index in range(1, passes + 1):
-        tic = time.perf_counter()
-        x_new = ista_step(M, b, lam, L, momentum)
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
-        momentum = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
-        x, t_k = x_new, t_next
-        elapsed += time.perf_counter() - tic
-        if metric_callback is not None:
-            trace.append(metric_callback(pass_index, x, elapsed))
-    return x, trace
+    return _settle(lambda _: next(steps), x, objective, tol, window, max_passes,
+                   "lasso reference")

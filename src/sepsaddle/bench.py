@@ -11,7 +11,7 @@ import numpy as np
 
 from . import baselines, spbcd
 from .datafiles import groups_from_meta, load_libsvm, load_problem_dir
-from .errors import ConfigError, RunAborted
+from .errors import ConfigError, FormatError, RunAborted
 from .problems import (
     SepCCSPInstance,
     gen_group_lasso,
@@ -145,30 +145,38 @@ def build_problem(config: RunConfig) -> ProblemBundle:
 
 
 def _load_file_problem(config: RunConfig) -> ProblemBundle:
-    kind, arrays, meta = load_problem_dir(config.path)
+    root = Path(config.path)
+    kind, arrays, meta = load_problem_dir(root)
+
+    def array(name):
+        if name not in arrays:
+            raise FormatError(f"{root}: no {name}.csv for a {kind} problem")
+        return arrays[name]
+
     if kind == "lasso":
-        A = arrays["A"]
-        b = arrays["b"].values[:, 0]
+        A = array("A")
+        b = array("b").values[:, 0]
+        if not config.lam and "lam" not in meta:
+            raise FormatError(f"{root}/meta.txt: no 'lam' key and no --lam")
         lam = config.lam or float(meta["lam"])
         return ProblemBundle(make_lasso(A, b, lam), lasso_data=(A, b, lam))
     if kind == "rpca":
-        B = arrays["B"].values
+        B = array("B").values
         if "mu2" in meta and "mu3" in meta:
             mu2, mu3 = float(meta["mu2"]), float(meta["mu3"])
         else:
             mu2, mu3 = rpca_default_penalties(B)
         return ProblemBundle(make_rpca(B, mu2, mu3))
     if kind == "group-lasso":
-        libsvm = Path(config.path) / "features.libsvm"
+        groups = groups_from_meta(meta)
+        libsvm = root / "features.libsvm"
         if "features" in arrays:
             features = arrays["features"]
-            labels = arrays["labels"].values[:, 0]
+            labels = array("labels").values[:, 0]
         elif libsvm.exists():
-            groups = groups_from_meta(meta)
             features, labels = load_libsvm(libsvm, num_features=groups.total)
         else:
             raise ConfigError(f"{config.path}: no features.csv or features.libsvm")
-        groups = groups_from_meta(meta)
         lam = config.lam or float(meta.get("lam", DEFAULT_GROUP_LASSO_LAM))
         return ProblemBundle(make_group_lasso_hinge(features, labels, groups, lam))
     raise ConfigError(f"unknown problem kind {kind!r} in {config.path}")

@@ -9,6 +9,7 @@ round-trip form), so save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +32,15 @@ def load_matrix_csv(path) -> DenseMatrix:
             if width is None:
                 width = len(parts)
             elif len(parts) != width:
-                raise FormatError(f"expected {width} columns, found {len(parts)}", line=lineno)
+                raise FormatError(f"expected {width} columns, found {len(parts)} in {path}",
+                                  line=lineno)
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError as exc:
-                raise FormatError(f"non-numeric entry ({exc})", line=lineno) from None
+                raise FormatError(f"non-numeric entry in {path} ({exc})", line=lineno) from None
+            if not all(map(math.isfinite, row)):
+                raise FormatError(f"non-finite entry in {path}", line=lineno)
+            rows.append(row)
     if not rows:
         raise FormatError(f"{path}: empty matrix file")
     return DenseMatrix(rows)
@@ -86,6 +91,8 @@ def load_libsvm(path, num_features: int | None = None):
                     raise FormatError(f"bad feature token {token!r}", line=lineno) from None
                 if idx < 1:
                     raise FormatError(f"indices are 1-based, got {idx}", line=lineno)
+                if not math.isfinite(val):
+                    raise FormatError(f"non-finite value in {token!r}", line=lineno)
                 row[idx] = val
                 max_index = max(max_index, idx)
             entries.append(row)
@@ -153,5 +160,7 @@ def load_problem_dir(path):
 
 
 def groups_from_meta(meta: dict) -> GroupSpec:
+    if "groups" not in meta:
+        raise FormatError("meta.txt has no 'groups' key (the group sizes)")
     sizes = [int(s) for s in meta["groups"].split(",")]
     return GroupSpec(sizes)

@@ -1,11 +1,16 @@
-"""Dense coupling matrices, column-block partitions, and the absolute-sum /
-norm quantities the stepsize rules consume.
+"""Dense coupling matrices, column-block partitions, and the coupling
+protocol the solvers use.
 
 Matrices are float64, immutable after construction and safe to share across
 worker threads. A ``DenseMatrix`` keeps the layout it was built with (C order
-by default); a ``DenseCoupling`` stores its matrix column-major, so a single
-block and any run of consecutive blocks are views, and a scattered set of
-blocks is one gather of their columns.
+by default). Every coupling is a ``Coupling``: a partition into column blocks
+plus the column-set operations ``gather`` (A_S for a set S of blocks, with
+A_S^T y, A_S v and the row absolute sums of A_S), the full products, and the
+stepsize quantities (column absolute sums, block norms, spectral norm).
+``DenseCoupling`` stores its matrix column-major, so a single block and any
+run of consecutive blocks are views and a scattered set of blocks is one
+gather of their columns; ``IdentityStackCoupling`` is the implicit
+[I I ... I] of the low-rank + sparse problem.
 """
 
 from __future__ import annotations
@@ -134,26 +139,6 @@ def _values(A) -> np.ndarray:
     return A.values if isinstance(A, DenseMatrix) else np.asarray(A, dtype=float)
 
 
-def col_abs_sums(A) -> np.ndarray:
-    """Per-column sums of absolute entries.
-
-    This is the coupling strength between each primal coordinate and the dual
-    vector, and the adaptive primal proximal penalty.
-    """
-    return np.abs(_values(A)).sum(axis=0)
-
-
-def block_matvec(A, partition: BlockPartition, j: int, v) -> np.ndarray:
-    """A_j @ v for column block j."""
-    M = _values(A)
-    sl = partition.slice_of(j)
-    v = np.asarray(v, dtype=float)
-    width = sl.stop - sl.start
-    if v.shape != (width,):
-        raise ValueError(f"block {j} expects a length-{width} vector, got shape {v.shape}")
-    return M[:, sl] @ v
-
-
 class SpectralEstimate(NamedTuple):
     value: float
     converged: bool
@@ -200,6 +185,35 @@ def spectral_norm_estimate(A, tol: float = 1e-6, max_iters: int = 1000) -> Spect
     return SpectralEstimate(sigma_prev, False, max_iters)
 
 
+class Coupling:
+    """A coupling operator over column blocks: the one interface the block
+    engine and the baselines use.
+
+    A subclass sets ``partition`` and ``m`` and supplies ``gather(blocks)``
+    (the columns of sorted, distinct blocks, with ``index``, ``rmatvec``,
+    ``matvec`` and ``row_abs_sums``), ``matvec``, ``rmatvec``,
+    ``col_abs_sums``, ``block_norms`` and ``spectral_norm``.
+    """
+
+    partition: BlockPartition
+    m: int
+
+    @property
+    def n(self) -> int:
+        return self.partition.total
+
+    @property
+    def num_blocks(self) -> int:
+        return self.partition.num_blocks
+
+    def block_slice(self, j: int) -> slice:
+        return self.partition.slice_of(j)
+
+    def row_abs_sums(self, blocks) -> np.ndarray:
+        """Row absolute sums over the selected blocks (duplicates collapse)."""
+        return self.gather(selected_blocks(blocks, self.num_blocks)).row_abs_sums()
+
+
 class DenseColumns:
     """The columns A_S of a set S of blocks, gathered once for both products
     and the dual stepsize rule.
@@ -235,7 +249,7 @@ class DenseColumns:
         return self._coupling._block_row_abs_sums[self.blocks].sum(axis=0)
 
 
-class DenseCoupling:
+class DenseCoupling(Coupling):
     """Column-block view of a dense coupling matrix, stored column-major.
 
     A matrix in C order is copied once into Fortran order; builders that own
@@ -257,31 +271,11 @@ class DenseCoupling:
             )
         self.matrix = matrix
         self.partition = partition
+        self.m = matrix.rows
         self.single_columns = partition.total == partition.num_blocks
-
-    @property
-    def m(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def n(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def num_blocks(self) -> int:
-        return self.partition.num_blocks
-
-    def block_slice(self, j: int) -> slice:
-        return self.partition.slice_of(j)
 
     def block(self, j: int) -> np.ndarray:
         return self.matrix.values[:, self.partition.slice_of(j)]
-
-    def block_matvec(self, j: int, v) -> np.ndarray:
-        return block_matvec(self.matrix, self.partition, j, v)
-
-    def block_rmatvec(self, j: int, y) -> np.ndarray:
-        return self.block(j).T @ y
 
     def gather(self, blocks) -> DenseColumns:
         """A_S for the sorted, distinct ``blocks``: a view when they are
@@ -297,7 +291,8 @@ class DenseCoupling:
 
     @cached_property
     def col_abs_sums(self) -> np.ndarray:
-        out = col_abs_sums(self.matrix)
+        """Per-column sums of absolute entries: the adaptive primal penalty."""
+        out = np.abs(self.matrix.values).sum(axis=0)
         out.setflags(write=False)
         return out
 
@@ -310,10 +305,6 @@ class DenseCoupling:
         ])
         out.setflags(write=False)
         return out
-
-    def row_abs_sums(self, blocks) -> np.ndarray:
-        """Row absolute sums over the selected blocks (duplicates collapse)."""
-        return self.gather(selected_blocks(blocks, self.num_blocks)).row_abs_sums()
 
     @cached_property
     def block_norms(self) -> tuple[float, ...]:
@@ -328,3 +319,70 @@ class DenseCoupling:
 
     def __repr__(self):
         return f"DenseCoupling({self.m}x{self.n}, J={self.num_blocks})"
+
+
+class StackColumns:
+    """The columns of ``count`` identity blocks of size m: A_S = [I ... I].
+
+    ``index`` selects their coordinates of a primal vector, in block order.
+    """
+
+    __slots__ = ("index", "count", "m")
+
+    def __init__(self, index, count: int, m: int):
+        self.index = index
+        self.count = count
+        self.m = m
+
+    def rmatvec(self, y) -> np.ndarray:
+        """A_S^T y: y once per block."""
+        return np.tile(y, self.count)
+
+    def matvec(self, v) -> np.ndarray:
+        """A_S v: the sum of v's blocks, added in block order."""
+        return np.asarray(v).reshape(self.count, self.m).sum(axis=0)
+
+    def row_abs_sums(self) -> np.ndarray:
+        """Every row of A_S holds ``count`` ones."""
+        return float(self.count) * np.ones(self.m)
+
+
+class IdentityStackCoupling(Coupling):
+    """Structural [I I ... I] coupling: J identity blocks of size m.
+
+    Never materialized; every stepsize quantity has a closed form.
+    """
+
+    def __init__(self, m: int, num_blocks: int):
+        if m < 1 or num_blocks < 1:
+            raise ValueError("m and num_blocks must be >= 1")
+        self.m = int(m)
+        self.partition = BlockPartition([self.m] * int(num_blocks))
+
+    def gather(self, blocks) -> StackColumns:
+        """A_S for the sorted, distinct ``blocks``."""
+        index = block_coords(self.partition.offset_array, blocks)
+        return StackColumns(index, len(blocks), self.m)
+
+    def matvec(self, x) -> np.ndarray:
+        return np.asarray(x, dtype=float).reshape(self.num_blocks, self.m).sum(axis=0)
+
+    def rmatvec(self, y) -> np.ndarray:
+        return np.tile(np.asarray(y, dtype=float), self.num_blocks)
+
+    @cached_property
+    def col_abs_sums(self) -> np.ndarray:
+        out = np.ones(self.n)
+        out.setflags(write=False)
+        return out
+
+    @property
+    def block_norms(self) -> tuple:
+        return (1.0,) * self.num_blocks
+
+    @property
+    def spectral_norm(self) -> float:
+        return float(np.sqrt(self.num_blocks))
+
+    def __repr__(self):
+        return f"IdentityStackCoupling(m={self.m}, J={self.num_blocks})"

@@ -3,8 +3,9 @@ applications: lasso, robust low-rank/sparse matrix decomposition, and group
 lasso with hinge loss.
 
 Every builder yields a ``SepCCSPInstance``: block-separable functions f_j, a
-dual function g*, and a coupling operator tied together with the
-application's own objective and residual evaluators.
+dual function g*, and a ``matrices.Coupling`` (a ``DenseCoupling``, or the
+``IdentityStackCoupling`` of the low-rank + sparse problem) tied together
+with the application's own objective and residual evaluators.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from .functions import (
     QuadraticBlock,
     QuadraticDual,
 )
-from .matrices import (
+from .matrices import (  # noqa: F401  (StackColumns: re-exported from here)
     BlockPartition,
+    Coupling,
     DenseCoupling,
     DenseMatrix,
-    block_coords,
-    selected_blocks,
+    IdentityStackCoupling,
+    StackColumns,
     spectral_norm_estimate,
 )
 
@@ -65,105 +67,11 @@ class GroupSpec:
         return BlockPartition(self.group_sizes)
 
 
-class StackColumns:
-    """The columns of ``count`` identity blocks of size m: A_S = [I ... I].
-
-    ``index`` selects their coordinates of a primal vector, in block order.
-    """
-
-    __slots__ = ("index", "count", "m")
-
-    def __init__(self, index, count: int, m: int):
-        self.index = index
-        self.count = count
-        self.m = m
-
-    def rmatvec(self, y) -> np.ndarray:
-        """A_S^T y: y once per block."""
-        return np.tile(y, self.count)
-
-    def matvec(self, v) -> np.ndarray:
-        """A_S v: the sum of v's blocks, added in block order."""
-        return np.asarray(v).reshape(self.count, self.m).sum(axis=0)
-
-    def row_abs_sums(self) -> np.ndarray:
-        """Every row of A_S holds ``count`` ones."""
-        return float(self.count) * np.ones(self.m)
-
-
-class IdentityStackCoupling:
-    """Structural [I I ... I] coupling: J identity blocks of size m.
-
-    Never materialized; every stepsize quantity has a closed form. Presents
-    the same operator interface as ``DenseCoupling``.
-    """
-
-    def __init__(self, m: int, num_blocks: int):
-        if m < 1 or num_blocks < 1:
-            raise ValueError("m and num_blocks must be >= 1")
-        self.m = int(m)
-        self.num_blocks = int(num_blocks)
-
-    @property
-    def n(self) -> int:
-        return self.m * self.num_blocks
-
-    @cached_property
-    def partition(self) -> BlockPartition:
-        return BlockPartition([self.m] * self.num_blocks)
-
-    def block_slice(self, j: int) -> slice:
-        if not 0 <= j < self.num_blocks:
-            raise ValueError(f"block index {j} out of range [0, {self.num_blocks})")
-        return slice(j * self.m, (j + 1) * self.m)
-
-    def block_matvec(self, j, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.m,):
-            raise ValueError(f"expected a length-{self.m} vector, got {v.shape}")
-        return v.copy()
-
-    def block_rmatvec(self, j, y) -> np.ndarray:
-        return np.asarray(y, dtype=float).copy()
-
-    def matvec(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float).reshape(self.num_blocks, self.m).sum(axis=0)
-
-    def rmatvec(self, y) -> np.ndarray:
-        return np.tile(np.asarray(y, dtype=float), self.num_blocks)
-
-    def gather(self, blocks) -> StackColumns:
-        """A_S for the sorted, distinct ``blocks``."""
-        index = block_coords(self.partition.offset_array, blocks)
-        return StackColumns(index, len(blocks), self.m)
-
-    @cached_property
-    def col_abs_sums(self) -> np.ndarray:
-        out = np.ones(self.n)
-        out.setflags(write=False)
-        return out
-
-    def row_abs_sums(self, blocks) -> np.ndarray:
-        """Row absolute sums over the selected blocks (duplicates collapse)."""
-        return self.gather(selected_blocks(blocks, self.num_blocks)).row_abs_sums()
-
-    @property
-    def block_norms(self) -> tuple:
-        return (1.0,) * self.num_blocks
-
-    @property
-    def spectral_norm(self) -> float:
-        return float(np.sqrt(self.num_blocks))
-
-    def __repr__(self):
-        return f"IdentityStackCoupling(m={self.m}, J={self.num_blocks})"
-
-
 @dataclass(eq=False)
 class SepCCSPInstance:
     """One separable saddle-point problem: min_x max_y f(x) + <y, Ax> - g*(y)."""
 
-    coupling: object
+    coupling: Coupling
     block_fns: tuple
     dual_fn: object
     primal_objective: Callable[[np.ndarray], float]

@@ -229,10 +229,39 @@ def iterations_per_pass(J: int, K: int) -> int:
     return math.ceil(J / K)
 
 
+def timed_passes(step, state, passes: int, metric_callback=None):
+    """Run ``state = step(state)`` for ``passes`` passes; returns (state, trace).
+
+    Only the pass is timed. ``metric_callback(pass_index, state, seconds)``
+    runs after the timer stops, with the cumulative solver seconds, and its
+    return values form the trace. A ``NumericsError`` in a pass, or any
+    failure of the callback, raises ``RunAborted`` carrying the trace so far.
+    Every solver's run loop is this one.
+    """
+    trace = []
+    seconds = 0.0
+    for pass_index in range(1, passes + 1):
+        tic = time.perf_counter()
+        try:
+            state = step(state)
+        except NumericsError as exc:
+            raise RunAborted(str(exc), trace) from exc
+        seconds += time.perf_counter() - tic
+        if metric_callback is not None:
+            try:
+                trace.append(metric_callback(pass_index, state, seconds))
+            except Exception as exc:
+                raise RunAborted(
+                    f"metric callback failed at pass {pass_index}: {exc}", trace
+                ) from exc
+    return state, trace
+
+
 def run(instance, config: StepsizeConfig, pass_budget: int, metric_callback=None, *,
         seed: int = 0, workers: int = 1, x0=None, y0=None,
         rbar_check_interval: int = 2000, rbar_tol: float = 1e-10):
-    """Run ``pass_budget`` passes; returns (final state, trace).
+    """Run ``pass_budget`` passes through ``timed_passes``; returns (final
+    state, trace).
 
     ``metric_callback(pass_index, state, solver_seconds)`` is invoked once per
     pass with the cumulative solver-only wall time (callback time excluded);
@@ -248,32 +277,21 @@ def run(instance, config: StepsizeConfig, pass_budget: int, metric_callback=None
     rng = np.random.Generator(np.random.PCG64(seed))
     per_pass = iterations_per_pass(config.J, config.K)
     executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    trace = []
-    solver_seconds = 0.0
+
+    def one_pass(state):
+        for _ in range(per_pass):
+            iterate(instance, state, config, rng, executor)
+            if state.t % rbar_check_interval == 0:
+                drift = rbar_drift(instance, state)
+                if drift > rbar_tol:
+                    raise NumericsError(
+                        f"r_bar cache drift {drift:.3e} exceeds {rbar_tol:g} "
+                        f"at iteration {state.t}"
+                    )
+        return state
+
     try:
-        for pass_index in range(1, pass_budget + 1):
-            tic = time.perf_counter()
-            try:
-                for _ in range(per_pass):
-                    iterate(instance, state, config, rng, executor)
-                    if state.t % rbar_check_interval == 0:
-                        drift = rbar_drift(instance, state)
-                        if drift > rbar_tol:
-                            raise NumericsError(
-                                f"r_bar cache drift {drift:.3e} exceeds {rbar_tol:g} "
-                                f"at iteration {state.t}"
-                            )
-            except NumericsError as exc:
-                raise RunAborted(str(exc), trace) from exc
-            solver_seconds += time.perf_counter() - tic
-            if metric_callback is not None:
-                try:
-                    trace.append(metric_callback(pass_index, state, solver_seconds))
-                except Exception as exc:
-                    raise RunAborted(
-                        f"metric callback failed at pass {pass_index}: {exc}", trace
-                    ) from exc
+        return timed_passes(one_pass, state, pass_budget, metric_callback)
     finally:
         if executor is not None:
             executor.shutdown(wait=True)
-    return state, trace

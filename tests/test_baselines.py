@@ -14,11 +14,40 @@ from sepsaddle.baselines import (
     preconditioned_pdcp_iterate,
     preconditioned_pdcp_run,
     preconditioned_penalties,
+    preconditioned_reference,
 )
-from sepsaddle.errors import ConfigError
-from sepsaddle.problems import gen_lasso, gen_rpca, make_lasso, make_rpca, \
-    rpca_default_penalties
+from sepsaddle.bench import SOLVERS
+from sepsaddle.errors import ConfigError, RunAborted
+from sepsaddle.problems import gen_group_lasso, gen_lasso, gen_rpca, make_group_lasso_hinge, \
+    make_lasso, make_rpca, rpca_default_penalties
 from sepsaddle.spbcd import StepsizeConfig, run
+
+
+def per_block_pdcp_iterate(instance, state, config):
+    """Reference: the pdcp step with one prox call per block, the loop the
+    batched ``block_prox`` call replaced."""
+    u = instance.coupling.matvec(state.x_bar)
+    y_new = instance.dual_fn.resolvent(state.y, u, config.sigma)
+    grad = instance.coupling.rmatvec(y_new)
+    x_new = np.empty(instance.n)
+    for j, fn in enumerate(instance.block_fns):
+        sl = instance.block_slice(j)
+        x_new[sl] = fn.prox(state.x[sl] - grad[sl] / config.h, config.h)
+    state.x_bar = x_new + config.theta * (x_new - state.x)
+    state.x = x_new
+    state.y = y_new
+    state.t += 1
+    return state
+
+
+def pdcp_instance(kind):
+    if kind == "lasso":
+        return make_lasso(*gen_lasso(12, 30, 4, seed=2))
+    if kind == "rpca":
+        B = gen_rpca(8, 10, 2, seed=3)
+        return make_rpca(B, *rpca_default_penalties(B))
+    features, labels, groups = gen_group_lasso(5, n_samples=150)
+    return make_group_lasso_hinge(features, labels, groups, 1e-3)
 
 
 def exact_toy_lasso():
@@ -76,6 +105,24 @@ class TestPdcp:
         with pytest.warns(RuntimeWarning, match="not guaranteed"):
             pdcp_run(small_lasso, config, passes=1)
 
+    @pytest.mark.parametrize("kind", ["lasso", "rpca", "group-lasso"])
+    def test_batched_prox_matches_per_block_loop(self, kind):
+        inst = pdcp_instance(kind)
+        config = PdcpConfig.recommended(inst)
+        batched = pdcp_initial_state(inst)
+        looped = pdcp_initial_state(inst)
+        for _ in range(40):
+            pdcp_iterate(inst, batched, config)
+            per_block_pdcp_iterate(inst, looped, config)
+        if kind == "group-lasso":
+            # segment norms add in a different order from np.linalg.norm
+            for a, b in ((batched.x, looped.x), (batched.y, looped.y)):
+                assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+        else:
+            assert np.array_equal(batched.x, looped.x)
+            assert np.array_equal(batched.x_bar, looped.x_bar)
+            assert np.array_equal(batched.y, looped.y)
+
 
 class TestPreconditionedPdcp:
     def test_penalties(self, small_lasso):
@@ -107,6 +154,14 @@ class TestPreconditionedPdcp:
         assert np.allclose(state.x, [0.15, 0.0], atol=1e-12)
         assert np.allclose(state.y, [-0.3625, 0.75], atol=1e-12)
 
+    @pytest.mark.parametrize("window", [1, 7, 50])
+    def test_reference_is_run_plus_stopping_rule(self, small_lasso, window):
+        # tol = 1e6 stops after the first window
+        x, y = preconditioned_reference(small_lasso, tol=1e6, window=window)
+        state, _ = preconditioned_pdcp_run(small_lasso, passes=window)
+        assert np.array_equal(x, state.x)
+        assert np.array_equal(y, state.y)
+
     def test_zero_matrix_reduces_to_pure_prox(self):
         inst = make_lasso(np.zeros((2, 3)), np.zeros(2), 0.5)
         state, _ = preconditioned_pdcp_run(inst, passes=3,
@@ -117,6 +172,11 @@ class TestPreconditionedPdcp:
 
 
 class TestIsta:
+    def test_rejects_negative_passes(self):
+        A, b, lam = gen_lasso(4, 6, 2, seed=1)
+        with pytest.raises(ValueError, match="passes must be >= 0"):
+            ista_run(A.values, b, lam, passes=-1)
+
     def test_fixed_point_at_optimum(self, rng):
         # orthonormal design: the optimum is the exact shrinkage of A^T b
         A = np.linalg.qr(rng.standard_normal((12, 12)))[0]
@@ -170,6 +230,14 @@ class TestFista:
         assert np.array_equal(x, x0)
         assert trace == []
 
+    @pytest.mark.parametrize("window", [1, 7, 50])
+    def test_reference_is_run_plus_stopping_rule(self, window):
+        # tol = 1e6 stops after the first window
+        A, b, lam = gen_lasso(8, 14, 3, seed=7)
+        x_ref, _ = fista_reference(A.values, b, lam, tol=1e6, window=window)
+        x_run, _ = fista_run(A.values, b, lam, passes=window)
+        assert np.array_equal(x_ref, x_run)
+
     def test_lipschitz_safety_factor(self):
         A, _, _ = gen_lasso(10, 10, 2, seed=2)
         exact = np.linalg.norm(A.values, 2) ** 2
@@ -187,3 +255,30 @@ class TestPdcpBoundedness:
                                 metric_callback=lambda p, s, t: inst.objective(s.x))
         assert np.isfinite(trace).all()
         assert max(trace) <= 10 * trace[0] + 100
+
+
+class TestRunAbort:
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_callback_failure_aborts_with_partial_trace(self, solver):
+        A, b, lam = gen_lasso(6, 9, 2, seed=8)
+        inst = make_lasso(A, b, lam)
+        runs = {
+            "spbcd": lambda cb: run(inst, StepsizeConfig.for_instance(inst, K=3),
+                                    pass_budget=5, metric_callback=cb),
+            "pdcp": lambda cb: pdcp_run(inst, PdcpConfig.recommended(inst), passes=5,
+                                        metric_callback=cb),
+            "preconditioned-pdcp": lambda cb: preconditioned_pdcp_run(
+                inst, passes=5, metric_callback=cb),
+            "ista": lambda cb: ista_run(A, b, lam, passes=5, metric_callback=cb),
+            "fista": lambda cb: fista_run(A, b, lam, passes=5, metric_callback=cb),
+        }
+
+        def callback(p, state, secs):
+            if p == 3:
+                raise RuntimeError("boom")
+            return p
+
+        with pytest.raises(RunAborted, match="pass 3: boom") as excinfo:
+            runs[solver](callback)
+        assert excinfo.value.trace == [1, 2]
+        assert isinstance(excinfo.value.__cause__, RuntimeError)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import sepsaddle
+from sepsaddle import bench
 from sepsaddle.bench import (
+    SOLVERS,
     RunConfig,
     compare,
     config_from_sources,
@@ -282,3 +285,114 @@ class TestCli:
         cfg_b.write_text("problem = lasso\nm = 8\nn = 12\nd = 3\nseed = 2\nsolver = pdcp\n")
         assert main(["compare", "--config", str(cfg_a), "--config", str(cfg_b),
                      "--out-dir", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_aborted_run_exits_3_with_partial_trace(self, tmp_path, capsys, monkeypatch,
+                                                    solver):
+        real = bench.TraceRecord
+
+        def record(*args, **kwargs):
+            if args and args[0] == 3:  # the run's record of pass 3
+                raise RuntimeError("metric failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "TraceRecord", record)
+        out = tmp_path / "t.csv"
+        code = main(["run", "--problem", "lasso", "--m", "8", "--n", "12", "--d", "3",
+                     "--solver", solver, "--K", "4", "--passes", "5", "--out", str(out)])
+        assert code == 3
+        assert "solver aborted" in capsys.readouterr().err
+        _, records = read_trace(out)
+        assert [r.pass_index for r in records] == [1, 2]
+
+
+class TestMalformedProblemDir:
+    """A broken problem directory exits 2 with a message naming what is
+    wrong, not a traceback."""
+
+    def generate(self, tmp_path, problem):
+        root = tmp_path / problem
+        size = ["--m", "4", "--n", "5", "--r", "1"] if problem == "rpca" else \
+            ["--m", "8", "--n", "12", "--d", "3"]
+        assert main(["generate", "--problem", problem, *size, "--out", str(root)]) == 0
+        return root
+
+    def run_dir(self, root, capsys, solver="fista"):
+        code = main(["run", "--problem", "file", "--path", str(root),
+                     "--solver", solver, "--passes", "2"])
+        return code, capsys.readouterr().err
+
+    def drop_meta_key(self, root, key):
+        meta = root / "meta.txt"
+        lines = meta.read_text().splitlines(keepends=True)
+        meta.write_text("".join(line for line in lines if not line.startswith(key)))
+
+    def test_lasso_without_lam(self, tmp_path, capsys):
+        root = self.generate(tmp_path, "lasso")
+        self.drop_meta_key(root, "lam")
+        code, err = self.run_dir(root, capsys)
+        assert code == 2
+        assert "'lam'" in err and "Traceback" not in err
+        # an explicit --lam supplies it
+        assert main(["run", "--problem", "file", "--path", str(root), "--lam", "0.1",
+                     "--solver", "fista", "--passes", "2"]) == 0
+
+    @pytest.mark.parametrize("name", ["A", "b"])
+    def test_lasso_missing_csv(self, tmp_path, capsys, name):
+        root = self.generate(tmp_path, "lasso")
+        (root / f"{name}.csv").unlink()
+        code, err = self.run_dir(root, capsys)
+        assert code == 2
+        assert f"{name}.csv" in err
+
+    def test_rpca_missing_csv(self, tmp_path, capsys):
+        root = self.generate(tmp_path, "rpca")
+        (root / "B.csv").unlink()
+        code, err = self.run_dir(root, capsys, solver="pdcp")
+        assert code == 2
+        assert "B.csv" in err
+
+    @pytest.mark.parametrize("source", ["libsvm", "csv"])
+    def test_group_lasso_without_groups(self, tmp_path, capsys, source):
+        root = tmp_path / "gl"
+        root.mkdir()
+        (root / "meta.txt").write_text("lam = 0.1\nproblem = group-lasso\n")
+        if source == "libsvm":
+            (root / "features.libsvm").write_text("+1 1:1.0 3:0.5\n-1 2:0.7\n")
+        else:
+            (root / "features.csv").write_text("1.0,0.0,0.5\n0.0,0.7,0.0\n")
+            (root / "labels.csv").write_text("1.0\n-1.0\n")
+        code, err = self.run_dir(root, capsys, solver="pdcp")
+        assert code == 2
+        assert "'groups'" in err
+
+    def test_group_lasso_missing_labels(self, tmp_path, capsys):
+        root = tmp_path / "gl"
+        root.mkdir()
+        (root / "meta.txt").write_text("groups = 1,2\nproblem = group-lasso\n")
+        (root / "features.csv").write_text("1.0,0.0,0.5\n0.0,0.7,0.0\n")
+        code, err = self.run_dir(root, capsys, solver="pdcp")
+        assert code == 2
+        assert "labels.csv" in err
+
+    @pytest.mark.parametrize("cell, problem", [
+        ("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "non-finite"),
+        ("abc", "non-numeric"), ("", "columns")])
+    def test_bad_cell(self, tmp_path, capsys, cell, problem):
+        root = self.generate(tmp_path, "lasso")
+        path = root / "A.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        # replace the first cell of line 2; an empty one leaves the row short
+        rest = lines[1][lines[1].index(","):]
+        lines[1] = cell + rest if cell else rest[1:]
+        path.write_text("".join(lines))
+        code, err = self.run_dir(root, capsys)
+        assert code == 2
+        assert "line 2" in err and "A.csv" in err and problem in err
+
+
+class TestPackage:
+    def test_every_export_resolves(self):
+        for name in sepsaddle.__all__:
+            assert getattr(sepsaddle, name) is not None, name
+        assert len(set(sepsaddle.__all__)) == len(sepsaddle.__all__)

@@ -98,7 +98,7 @@ class TestIdentityStackCoupling:
         assert np.allclose(coupling.matvec(x), x[:3] + x[3:6] + x[6:])
         y = rng.standard_normal(3)
         assert np.array_equal(coupling.rmatvec(y), np.tile(y, 3))
-        assert np.array_equal(coupling.block_matvec(1, y), y)
+        assert np.array_equal(coupling.gather(np.array([1])).matvec(y), y)
 
     def test_gather_tiles_and_sums(self, rng):
         coupling = IdentityStackCoupling(3, 4)

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -39,6 +40,7 @@ from sepsaddle.spbcd import (
     rbar_drift,
     run,
     sample_blocks,
+    timed_passes,
 )
 from sepsaddle.verify import prox_oracle, resolvent_oracle
 
@@ -57,7 +59,7 @@ def hand_instance():
 def primal_block_step(instance, state, j, h_j):
     """Exact minimizer of f_j(x_j) + <y, A_j x_j> + (1/2)||x_j - x_j^t||^2_h_j."""
     sl = instance.block_slice(j)
-    v = state.x[sl] - instance.coupling.block_rmatvec(j, state.y) / h_j
+    v = state.x[sl] - instance.coupling.gather(np.array([j])).rmatvec(state.y) / h_j
     return instance.block_fns[j].prox(v, h_j)
 
 
@@ -88,7 +90,7 @@ def reference_iterate(instance, state, config, blocks):
         sl = instance.block_slice(j)
         x_new = primal_block_step(instance, state, j, config.h[sl])
         xb_new = extrapolate(x_new, state.x[sl], config.theta)
-        deltas[j] = instance.coupling.block_matvec(j, xb_new - state.x_bar[sl])
+        deltas[j] = instance.coupling.gather(np.array([j])).matvec(xb_new - state.x_bar[sl])
         updates.append((sl, x_new, xb_new))
     sigma_t = _sigma_for(instance, blocks, config)
     y_new = dual_step(instance, state, blocks, sigma_t, ordered_sum(deltas))
@@ -405,6 +407,33 @@ class TestIterate:
         twin, _ = preconditioned_pdcp_run(small_lasso, passes=100)
         assert np.abs(state.x - twin.x).max() <= 1e-12
         assert np.abs(state.y - twin.y).max() <= 1e-12
+
+
+class TestTimedPasses:
+    def test_numerics_error_aborts_with_partial_trace(self):
+        def step(k):
+            if k == 2:
+                raise NumericsError("overflow")
+            return k + 1
+
+        with pytest.raises(RunAborted, match="overflow") as excinfo:
+            timed_passes(step, 0, 5, lambda p, k, secs: k)
+        assert excinfo.value.trace == [1, 2]
+        assert isinstance(excinfo.value.__cause__, NumericsError)
+
+    def test_callback_runs_outside_the_timed_span(self):
+        seen = []
+
+        def callback(p, state, secs):
+            seen.append(secs)
+            time.sleep(0.02)
+
+        state, trace = timed_passes(lambda k: k + 1, 0, 3, callback)
+        assert state == 3 and trace == [None, None, None]
+        assert seen == sorted(seen) and seen[-1] < 0.02
+
+    def test_zero_passes_returns_the_start(self):
+        assert timed_passes(lambda k: k + 1, 7, 0, lambda p, k, secs: k) == (7, [])
 
 
 class TestRun:
