@@ -230,6 +230,9 @@ def run_experiment(config: RunConfig, bundle: ProblemBundle | None = None):
     config.validate()
     if bundle is None:
         bundle = build_problem(config)
+    if config.solver in ("ista", "fista") and bundle.lasso_data is None:
+        # a problem directory's kind is known only once it is loaded
+        raise ConfigError(f"solver {config.solver!r} only applies to lasso problems")
     instance = bundle.instance
     _ensure_reference(bundle)
     gap_at = _gap_evaluator(config, bundle)

@@ -7,10 +7,12 @@ failure (partial trace flushed when an output path was given).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from .bench import (
+    DEFAULT_GROUP_LASSO_LAM,
     PROBLEMS,
     SOLVERS,
     RunConfig,
@@ -32,7 +34,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--passes", type=int)
     p.add_argument("--K", type=int, dest="K")
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, help="max parallel block workers")
+    p.add_argument("--workers", type=int,
+                   help="accepted and recorded in the trace; the engine runs on one thread")
     p.add_argument("--rule", choices=STEPSIZE_RULES)
     p.add_argument("--sigma-override", type=float, dest="sigma_override",
                    help="manual constant dual penalty")
@@ -55,47 +58,47 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--path", help="problem directory (with --problem file)")
 
 
-_RUN_FIELDS = ("problem", "solver", "passes", "K", "seed", "workers", "rule",
-               "sigma_override", "sigma_scale", "out", "label", "gap", "m", "n",
-               "d", "normalize", "rank", "lam", "gl_samples", "gl_active",
-               "gl_noise", "path")
+_RUN_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
+
+
+def _flag_values(args) -> dict:
+    return {name: getattr(args, name, None) for name in _RUN_FIELDS}
 
 
 def _config_from_args(args) -> RunConfig:
     file_values = parse_config_file(args.config) if args.config else None
-    flag_values = {name: getattr(args, name, None) for name in _RUN_FIELDS}
-    return config_from_sources(file_values, flag_values)
+    return config_from_sources(file_values, _flag_values(args))
 
 
 def _cmd_generate(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    if args.problem == "lasso":
-        m, n, d = args.m or 1000, args.n or 5000, args.d or 500
-        normalize = args.normalize if args.normalize is not None else True
-        A, b, lam = gen_lasso(m, n, d, seed, normalize=normalize)
+    # generate's --out is the problem directory, not a trace path
+    config = config_from_sources(None, {**_flag_values(args), "out": None})
+    seed = config.seed
+    if config.problem == "lasso":
+        m, n, d = config.sizes()
+        A, b, lam = gen_lasso(m, n, d, seed, normalize=config.normalize)
         root = save_problem_dir(args.out, "lasso", {"A": A, "b": b},
                                 {"m": m, "n": n, "d": d, "seed": seed,
-                                 "normalize": normalize, "lam": lam})
-    elif args.problem == "rpca":
-        m, n, r = args.m or 200, args.n or 500, args.rank or 10
+                                 "normalize": config.normalize, "lam": lam})
+    elif config.problem == "rpca":
+        m, n, r = config.sizes()
         B = gen_rpca(m, n, r, seed)
         mu2, mu3 = rpca_default_penalties(B)
         root = save_problem_dir(args.out, "rpca", {"B": B},
                                 {"m": m, "n": n, "rank": r, "seed": seed,
                                  "mu2": mu2, "mu3": mu3})
     else:
-        n_samples = args.gl_samples or 2000
-        active = args.gl_active if args.gl_active is not None else 0.2
-        noise = args.gl_noise if args.gl_noise is not None else 0.1
         features, labels, groups = gen_group_lasso(
-            seed, n_samples=n_samples, active_fraction=active, label_noise=noise)
+            seed, n_samples=config.gl_samples, active_fraction=config.gl_active,
+            label_noise=config.gl_noise)
+        lam = config.lam if config.lam is not None else DEFAULT_GROUP_LASSO_LAM
         root = save_problem_dir(args.out, "group-lasso",
                                 {"features": features, "labels": labels},
                                 {"groups": list(groups.group_sizes), "seed": seed,
-                                 "n_samples": n_samples, "active_fraction": active,
-                                 "label_noise": noise,
-                                 "lam": args.lam if args.lam is not None else 1e-4})
-    print(f"wrote {args.problem} problem to {root}")
+                                 "n_samples": config.gl_samples,
+                                 "active_fraction": config.gl_active,
+                                 "label_noise": config.gl_noise, "lam": lam})
+    print(f"wrote {config.problem} problem to {root}")
     return 0
 
 

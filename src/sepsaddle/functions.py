@@ -138,9 +138,8 @@ class BlockProx:
     L1, zero and quadratic blocks are coordinatewise, so all their selected
     coordinates take one elementwise prox with per-coordinate weights built
     here, once. Group-L2 blocks are shrunk together from segment norms. Any
-    other block (nuclear, or a user-defined function) calls its own ``prox``,
-    on ``executor`` when one is given. Every block writes only its own
-    coordinates, so the result does not depend on the executor.
+    other block (nuclear, or a user-defined function) calls its own ``prox``
+    inline. Every block writes only its own coordinates.
     """
 
     def __init__(self, block_fns, block_sizes):
@@ -153,7 +152,7 @@ class BlockProx:
             np.where(self.kinds == _SOFT, self.weights, 0.0), self.sizes)
         self.single_class = kinds[0] if len(set(kinds)) == 1 else None
 
-    def __call__(self, v, h, index, blocks, executor=None) -> np.ndarray:
+    def __call__(self, v, h, index, blocks) -> np.ndarray:
         """argmin_x sum_{j in blocks} f_j(x_j) + (1/2)||x - v||^2_diag(h).
 
         ``blocks`` are sorted and distinct, ``index`` holds their coordinates
@@ -168,22 +167,15 @@ class BlockProx:
         seg = np.concatenate(([0], np.cumsum(sizes)))
         kinds = self.kinds[blocks]
         x = np.empty_like(v)
-        tasks = []  # submitted first, so the pool overlaps the batched classes
         for k in np.flatnonzero(kinds == _OWN):
             sl = slice(seg[k], seg[k + 1])
-            fn = self.fns[blocks[k]]
-            if executor is None:
-                x[sl] = fn.prox(v[sl], h[sl])
-            else:
-                tasks.append((sl, executor.submit(fn.prox, v[sl], h[sl])))
+            x[sl] = self.fns[blocks[k]].prox(v[sl], h[sl])
         for kind in (_SOFT, _QUADRATIC, _GROUP):
             ks = np.flatnonzero(kinds == kind)
             if ks.size:
                 pos = block_coords(seg, ks)
                 w = self.soft_weights[index][pos] if kind == _SOFT else None
                 x[pos] = self._batched(kind, v[pos], h[pos], w, blocks[ks], sizes[ks])
-        for sl, task in tasks:
-            x[sl] = task.result()
         return x
 
     def _batched(self, kind, v, h, soft_weights, blocks, sizes) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Dense coupling matrices, column-block partitions, and the coupling
 protocol the solvers use.
 
-Matrices are float64, immutable after construction and safe to share across
-worker threads. A ``DenseMatrix`` keeps the layout it was built with (C order
-by default). Every coupling is a ``Coupling``: a partition into column blocks
-plus the column-set operations ``gather`` (A_S for a set S of blocks, with
-A_S^T y, A_S v and the row absolute sums of A_S), the full products, and the
-stepsize quantities (column absolute sums, block norms, spectral norm).
+Matrices are float64 and immutable after construction. A ``DenseMatrix``
+keeps the layout it was built with (C order by default). Every coupling is a
+``Coupling``: a partition into column blocks plus the column-set operations
+``gather`` (A_S for a set S of blocks, with A_S^T y, A_S v and the row
+absolute sums of A_S), the full products, and the stepsize quantities
+(column absolute sums, block norms, spectral norm).
 ``DenseCoupling`` stores its matrix column-major, so a single block and any
 run of consecutive blocks are views and a scattered set of blocks is one
 gather of their columns; ``IdentityStackCoupling`` is the implicit

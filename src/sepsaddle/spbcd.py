@@ -13,11 +13,9 @@ product A_S^T y, one prox call per block-function class (``BlockProx``) and
 one product A_S (x_bar_S^new - x_bar_S^old). The adaptive dual penalties are
 summed from the same gathered columns.
 
-Determinism contract: block sampling happens on the run loop thread, and the
-sum over the selected blocks is one fixed-order product, independent of the
-worker count. Workers only run the prox of blocks without a batched form
-(nuclear norm), each writing its own coordinates, so traces are
-bit-identical for any worker count.
+Determinism contract: sampling on the run thread, one fixed-order product.
+The engine runs on one thread; ``workers`` is validated and recorded but
+selects no code path, so traces are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,13 +184,12 @@ def dual_step(instance, state: SolverState, blocks, sigma_t, delta_bar) -> np.nd
 
 
 def iterate(instance, state: SolverState, config: StepsizeConfig,
-            rng: np.random.Generator, executor=None) -> SolverState:
+            rng: np.random.Generator) -> SolverState:
     """One full iteration (Algorithm box): sample, primal steps + extrapolate,
     adaptive dual step, cache refresh.
 
     The sampled blocks are one column set S: x_S and x_bar_S are updated
-    through S's coordinates, and ``executor`` runs only the prox of blocks
-    that ``BlockProx`` cannot batch.
+    through S's coordinates, with one ``BlockProx`` call for their prox.
     """
     state.validate()
     blocks = sample_blocks(rng, config.J, config.K)
@@ -203,7 +199,7 @@ def iterate(instance, state: SolverState, config: StepsizeConfig,
     h = config.h[index]
     x_old = state.x[index]
     v = x_old - columns.rmatvec(state.y) / h
-    x_new = instance.block_prox(v, h, index, blocks, executor)
+    x_new = instance.block_prox(v, h, index, blocks)
     xb_new = x_new + config.theta * (x_new - x_old)
     delta_bar = columns.matvec(xb_new - state.x_bar[index])
 
@@ -268,6 +264,10 @@ def run(instance, config: StepsizeConfig, pass_budget: int, metric_callback=None
     its return values form the trace. Callback or numeric failures raise
     ``RunAborted`` carrying the partial trace. The PCG64 generator seeded
     here is the only randomness in the run.
+
+    ``workers`` must be >= 1 and selects no code path: every iteration runs
+    on the calling thread. A two-worker pool over the unbatched (nuclear)
+    prox measured slower than one thread on low-rank + sparse and lasso.
     """
     if not isinstance(pass_budget, int) or pass_budget < 1:
         raise ValueError(f"pass_budget must be a positive integer, got {pass_budget!r}")
@@ -276,11 +276,10 @@ def run(instance, config: StepsizeConfig, pass_budget: int, metric_callback=None
     state = initial_state(instance, x0=x0, y0=y0)
     rng = np.random.Generator(np.random.PCG64(seed))
     per_pass = iterations_per_pass(config.J, config.K)
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def one_pass(state):
         for _ in range(per_pass):
-            iterate(instance, state, config, rng, executor)
+            iterate(instance, state, config, rng)
             if state.t % rbar_check_interval == 0:
                 drift = rbar_drift(instance, state)
                 if drift > rbar_tol:
@@ -290,8 +289,4 @@ def run(instance, config: StepsizeConfig, pass_budget: int, metric_callback=None
                     )
         return state
 
-    try:
-        return timed_passes(one_pass, state, pass_budget, metric_callback)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    return timed_passes(one_pass, state, pass_budget, metric_callback)

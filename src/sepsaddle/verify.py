@@ -215,20 +215,6 @@ def resolvent_oracle(dual_fn, y_prev, u, sigma, domain=None) -> np.ndarray:
     return out
 
 
-def perturbation_optimal(objective, x, rng, num_directions: int = 1000,
-                         scale: float = 1e-3, slack: float = 1e-12) -> bool:
-    """True if objective(x) <= objective(x + delta) + slack for random
-    perturbations of norm ``scale``."""
-    x = np.asarray(x, dtype=float)
-    base = float(objective(x))
-    for _ in range(num_directions):
-        d = rng.standard_normal(x.shape)
-        d *= scale / np.linalg.norm(d)
-        if float(objective(x + d)) < base - slack * (1.0 + abs(base)):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Saddle-point machinery
 # ---------------------------------------------------------------------------

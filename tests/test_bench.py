@@ -14,6 +14,7 @@ from sepsaddle.bench import (
     write_trace,
 )
 from sepsaddle.cli import main
+from sepsaddle.datafiles import load_problem_dir
 from sepsaddle.errors import ConfigError
 from sepsaddle.svgplot import AxisSpec, Series, render_svg
 
@@ -249,6 +250,29 @@ class TestCli:
                      "--out", str(out)]) == 0
         _, records = read_trace(out)
         assert len(records) == 3
+
+    @pytest.mark.parametrize("solver", ["ista", "fista"])
+    def test_lasso_solver_on_rpca_dir_exits_2(self, tmp_path, capsys, solver):
+        problem_dir = tmp_path / "rpca"
+        assert main(["generate", "--problem", "rpca", "--m", "6", "--n", "8",
+                     "--r", "2", "--seed", "3", "--out", str(problem_dir)]) == 0
+        out = tmp_path / "trace.csv"
+        code = main(["run", "--problem", "file", "--path", str(problem_dir),
+                     "--solver", solver, "--passes", "2", "--out", str(out)])
+        assert code == 2
+        assert f"solver '{solver}' only applies to lasso problems" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generate_defaults_are_run_config_defaults(self, tmp_path):
+        problem_dir = tmp_path / "gl"
+        assert main(["generate", "--problem", "group-lasso", "--gl-samples", "30",
+                     "--out", str(problem_dir)]) == 0
+        _, _, meta = load_problem_dir(problem_dir)
+        defaults = RunConfig(problem="group-lasso")
+        assert meta["seed"] == str(defaults.seed)
+        assert float(meta["active_fraction"]) == defaults.gl_active
+        assert float(meta["label_noise"]) == defaults.gl_noise
+        assert float(meta["lam"]) == bench.DEFAULT_GROUP_LASSO_LAM
 
     def test_compare_subcommand(self, tmp_path):
         cfg_a = tmp_path / "a.cfg"

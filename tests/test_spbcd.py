@@ -1,3 +1,4 @@
+import threading
 import time
 import warnings
 
@@ -502,8 +503,8 @@ class TestRun:
         run(inst, config, pass_budget=5, metric_callback=check, seed=1)
 
     def test_rpca_worker_count_does_not_change_state(self):
-        """Workers run only the nuclear block's prox; the state after 30
-        iterations is bitwise the same for any worker count."""
+        """The state after 30 iterations, nuclear block included, is bitwise
+        the same for any worker count."""
         B = gen_rpca(6, 8, 2, seed=3)
         inst = make_rpca(B, *rpca_default_penalties(B))
         for K in (2, 3):
@@ -514,6 +515,17 @@ class TestRun:
                 state, _ = run(inst, config, pass_budget=passes, seed=4, workers=workers)
                 for name in ("x", "x_bar", "y", "r_bar"):
                     assert np.array_equal(getattr(state, name), getattr(ref, name)), (K, workers, name)
+
+    def test_run_starts_no_thread(self):
+        """The engine runs on the calling thread for any worker count; at
+        K=3 every iteration samples the nuclear block."""
+        B = gen_rpca(6, 8, 2, seed=3)
+        inst = make_rpca(B, *rpca_default_penalties(B))
+        config = StepsizeConfig.for_instance(inst, K=3)
+        before = threading.active_count()
+        _, trace = run(inst, config, pass_budget=3, seed=4, workers=8,
+                       metric_callback=lambda p, s, t: threading.active_count())
+        assert trace == [before] * 3
 
 
 # ---------------------------------------------------------------------------
