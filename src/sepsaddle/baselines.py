@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError
 from .matrices import _values, spectral_norm_estimate
 from .prox import prox_l1
-from .spbcd import timed_passes
+from .spbcd import lift_nonseparable, timed_passes
 
 
 @dataclass
@@ -99,11 +99,7 @@ def preconditioned_penalties(instance, floor_eps: float = 1e-10):
     """Per-coordinate h_d = column abs sums (block-uniformized where the prox
     needs it) and per-row sigma_k = full row abs sums, taken the way the
     block engine's adaptive-l1 rule takes them at K = J."""
-    h = np.maximum(np.array(instance.coupling.col_abs_sums, dtype=float), floor_eps)
-    for j, fn in enumerate(instance.block_fns):
-        if not getattr(fn, "separable", True):
-            sl = instance.block_slice(j)
-            h[sl] = h[sl].max()
+    h = lift_nonseparable(instance, np.maximum(instance.coupling.col_abs_sums, floor_eps))
     sigma = np.maximum(
         instance.coupling.row_abs_sums(range(instance.num_blocks)), floor_eps
     )

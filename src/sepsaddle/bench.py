@@ -4,14 +4,15 @@ comparisons with SVG charts."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, spbcd
-from .datafiles import groups_from_meta, load_libsvm, load_problem_dir
+from .datafiles import groups_from_meta, load_libsvm, load_problem_dir, meta_text
 from .errors import ConfigError, FormatError, RunAborted
+from .matrices import _values
 from .problems import (
     SepCCSPInstance,
     gen_group_lasso,
@@ -29,6 +30,7 @@ PROBLEMS = ("lasso", "group-lasso", "rpca", "file")
 
 DEFAULT_GROUP_LASSO_LAM = 1e-4
 _GAP_MAX_DIM = 500
+_RPCA_LAM = "problem 'rpca' has no lam; --lam applies to lasso and group-lasso"
 
 
 @dataclass
@@ -91,6 +93,11 @@ class RunConfig:
             raise ConfigError("--path is only valid with --problem file")
         if self.solver in ("ista", "fista") and self.problem not in ("lasso", "file"):
             raise ConfigError(f"solver {self.solver!r} only applies to lasso problems")
+        if self.lam is not None and not self.lam > 0:
+            raise ConfigError(f"--lam must be positive for problem {self.problem!r}, "
+                              f"got {self.lam!r}")
+        if self.lam is not None and self.problem == "rpca":
+            raise ConfigError(_RPCA_LAM)
 
     def sizes(self) -> tuple:
         if self.problem == "lasso":
@@ -102,12 +109,13 @@ class RunConfig:
     def problem_key(self) -> tuple:
         """Identity of the generated data; compare() refuses mixed keys."""
         if self.problem == "lasso":
-            return ("lasso", self.seed, *self.sizes(), self.normalize)
+            return ("lasso", self.seed, *self.sizes(), self.normalize, self.lam)
         if self.problem == "rpca":
             return ("rpca", self.seed, *self.sizes())
         if self.problem == "group-lasso":
+            lam = DEFAULT_GROUP_LASSO_LAM if self.lam is None else self.lam
             return ("group-lasso", self.seed, self.gl_samples, self.gl_active,
-                    self.gl_noise, self.lam or DEFAULT_GROUP_LASSO_LAM)
+                    self.gl_noise, lam)
         return ("file", str(Path(self.path).resolve()), self.lam)
 
     def series_label(self) -> str:
@@ -122,46 +130,68 @@ class RunConfig:
 class ProblemBundle:
     instance: SepCCSPInstance
     lasso_data: tuple | None = None  # (A, b, lam) when the problem is a lasso
-    reference: dict = field(default_factory=dict)
+    saddle: tuple | None = None  # (x*, y*) of the gap column, once computed
+
+
+def problem_data(config: RunConfig):
+    """The problem as (kind, arrays, meta), the content of a problem directory
+    with ``meta`` as the text of its ``meta.txt``: generated from the flags or
+    read from ``config.path``. ``--lam`` replaces the lam of either."""
+    kind, seed = config.problem, config.seed
+    if kind == "file":
+        kind, arrays, meta = load_problem_dir(config.path)
+        libsvm = Path(config.path) / "features.libsvm"
+        if kind == "group-lasso" and "features" not in arrays and libsvm.exists():
+            arrays["features"], arrays["labels"] = load_libsvm(
+                libsvm, num_features=groups_from_meta(meta).total)
+    elif kind == "lasso":
+        m, n, d = config.sizes()
+        A, b, lam = gen_lasso(m, n, d, seed, normalize=config.normalize)
+        arrays = {"A": A, "b": b}
+        meta = {"m": m, "n": n, "d": d, "seed": seed, "normalize": config.normalize, "lam": lam}
+    elif kind == "rpca":
+        m, n, r = config.sizes()
+        B = gen_rpca(m, n, r, seed)
+        mu2, mu3 = rpca_default_penalties(B)
+        arrays, meta = {"B": B}, {"m": m, "n": n, "rank": r, "seed": seed, "mu2": mu2, "mu3": mu3}
+    else:
+        features, labels, groups = gen_group_lasso(
+            seed, n_samples=config.gl_samples, active_fraction=config.gl_active,
+            label_noise=config.gl_noise)
+        arrays = {"features": features, "labels": labels}
+        meta = {"groups": list(groups.group_sizes), "seed": seed,
+                "n_samples": config.gl_samples, "active_fraction": config.gl_active,
+                "label_noise": config.gl_noise, "lam": DEFAULT_GROUP_LASSO_LAM}
+    if config.lam is not None:
+        if kind == "rpca":
+            raise ConfigError(_RPCA_LAM)
+        meta["lam"] = config.lam
+    return kind, arrays, meta_text(meta)
 
 
 def build_problem(config: RunConfig) -> ProblemBundle:
-    if config.problem == "lasso":
-        m, n, d = config.sizes()
-        A, b, lam = gen_lasso(m, n, d, config.seed, normalize=config.normalize)
-        return ProblemBundle(make_lasso(A, b, lam), lasso_data=(A, b, lam))
-    if config.problem == "rpca":
-        m, n, r = config.sizes()
-        B = gen_rpca(m, n, r, config.seed)
-        mu2, mu3 = rpca_default_penalties(B)
-        return ProblemBundle(make_rpca(B, mu2, mu3))
-    if config.problem == "group-lasso":
-        features, labels, groups = gen_group_lasso(
-            config.seed, n_samples=config.gl_samples,
-            active_fraction=config.gl_active, label_noise=config.gl_noise)
-        lam = config.lam or DEFAULT_GROUP_LASSO_LAM
-        return ProblemBundle(make_group_lasso_hinge(features, labels, groups, lam))
-    return _load_file_problem(config)
-
-
-def _load_file_problem(config: RunConfig) -> ProblemBundle:
-    root = Path(config.path)
-    kind, arrays, meta = load_problem_dir(root)
+    """Build the instance from ``problem_data(config)``, the one path for
+    generated problems and problem directories alike."""
+    kind, arrays, meta = problem_data(config)
+    source = config.path or kind
 
     def array(name):
         if name not in arrays:
-            raise FormatError(f"{root}: no {name}.csv for a {kind} problem")
+            raise FormatError(f"{source}: no {name}.csv for a {kind} problem")
         return arrays[name]
+
+    def vector(name):
+        return np.ravel(_values(array(name)))
 
     if kind == "lasso":
         A = array("A")
-        b = array("b").values[:, 0]
-        if not config.lam and "lam" not in meta:
-            raise FormatError(f"{root}/meta.txt: no 'lam' key and no --lam")
-        lam = config.lam or float(meta["lam"])
+        b = vector("b")
+        if "lam" not in meta:
+            raise FormatError(f"{source}/meta.txt: no 'lam' key and no --lam")
+        lam = float(meta["lam"])
         return ProblemBundle(make_lasso(A, b, lam), lasso_data=(A, b, lam))
     if kind == "rpca":
-        B = array("B").values
+        B = _values(array("B"))
         if "mu2" in meta and "mu3" in meta:
             mu2, mu3 = float(meta["mu2"]), float(meta["mu3"])
         else:
@@ -169,17 +199,12 @@ def _load_file_problem(config: RunConfig) -> ProblemBundle:
         return ProblemBundle(make_rpca(B, mu2, mu3))
     if kind == "group-lasso":
         groups = groups_from_meta(meta)
-        libsvm = root / "features.libsvm"
-        if "features" in arrays:
-            features = arrays["features"]
-            labels = array("labels").values[:, 0]
-        elif libsvm.exists():
-            features, labels = load_libsvm(libsvm, num_features=groups.total)
-        else:
-            raise ConfigError(f"{config.path}: no features.csv or features.libsvm")
-        lam = config.lam or float(meta.get("lam", DEFAULT_GROUP_LASSO_LAM))
-        return ProblemBundle(make_group_lasso_hinge(features, labels, groups, lam))
-    raise ConfigError(f"unknown problem kind {kind!r} in {config.path}")
+        if "features" not in arrays:
+            raise ConfigError(f"{source}: no features.csv or features.libsvm")
+        labels = vector("labels")
+        lam = float(meta.get("lam", DEFAULT_GROUP_LASSO_LAM))
+        return ProblemBundle(make_group_lasso_hinge(arrays["features"], labels, groups, lam))
+    raise ConfigError(f"unknown problem kind {kind!r} in {source}")
 
 
 def _ensure_reference(bundle: ProblemBundle) -> None:
@@ -187,16 +212,13 @@ def _ensure_reference(bundle: ProblemBundle) -> None:
     instance = bundle.instance
     if instance.residual_kind != "suboptimality" or instance.reference_objective is not None:
         return
-    if "objective" not in bundle.reference:
-        if bundle.lasso_data is not None:
-            A, b, lam = bundle.lasso_data
-            _, obj = baselines.fista_reference(A, b, lam, tol=1e-10, max_passes=50_000)
-        else:
-            x_ref, _ = baselines.preconditioned_reference(instance, tol=1e-9,
-                                                          max_passes=50_000)
-            obj = instance.objective(x_ref)
-        bundle.reference["objective"] = obj
-    instance.reference_objective = bundle.reference["objective"]
+    if bundle.lasso_data is not None:
+        A, b, lam = bundle.lasso_data
+        _, obj = baselines.fista_reference(A, b, lam, tol=1e-10, max_passes=50_000)
+    else:
+        x_ref, _ = baselines.preconditioned_reference(instance, tol=1e-9, max_passes=50_000)
+        obj = instance.objective(x_ref)
+    instance.reference_objective = obj
 
 
 def _gap_evaluator(config: RunConfig, bundle: ProblemBundle):
@@ -209,12 +231,11 @@ def _gap_evaluator(config: RunConfig, bundle: ProblemBundle):
             "gap reporting is only available for lasso problems with "
             f"n <= {_GAP_MAX_DIM}"
         )
-    if "saddle" not in bundle.reference:
+    if bundle.saddle is None:
         A, b, lam = bundle.lasso_data
         x_star, _ = baselines.fista_reference(A, b, lam, tol=1e-12, max_passes=200_000)
-        y_star = instance.coupling.matvec(x_star) - b
-        bundle.reference["saddle"] = (x_star, y_star)
-    x_star, y_star = bundle.reference["saddle"]
+        bundle.saddle = (x_star, instance.coupling.matvec(x_star) - b)
+    x_star, y_star = bundle.saddle
     l_star = instance.lagrangian(x_star, y_star)
 
     def gap_at(x, y):
@@ -364,8 +385,8 @@ def compare(configs, out_dir, metric: str = "objective") -> dict:
     keys = {c.problem_key() for c in configs}
     if len(keys) != 1:
         raise ConfigError(
-            "compare requires identical problem data (same problem and seed); "
-            f"got {sorted(keys)}"
+            "compare requires identical problem data (same problem, seed and lam); "
+            f"got {sorted(keys, key=str)}"
         )
     labels = [c.series_label() for c in configs]
     if len(set(labels)) != len(labels):

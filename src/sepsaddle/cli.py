@@ -12,19 +12,34 @@ import sys
 from pathlib import Path
 
 from .bench import (
-    DEFAULT_GROUP_LASSO_LAM,
     PROBLEMS,
     SOLVERS,
     RunConfig,
     compare,
     config_from_sources,
     parse_config_file,
+    problem_data,
     run_experiment,
 )
 from .datafiles import save_problem_dir
 from .errors import ConfigError, FormatError, RunAborted
-from .problems import gen_group_lasso, gen_lasso, gen_rpca, rpca_default_penalties
 from .spbcd import STEPSIZE_RULES
+
+
+def _add_problem_flags(p: argparse.ArgumentParser) -> None:
+    """The flags that define a generated problem, shared by generate and run."""
+    p.add_argument("--seed", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--d", type=int)
+    p.add_argument("--no-normalize", action="store_const", const=False,
+                   dest="normalize", help="skip unit-norm column scaling (lasso)")
+    p.add_argument("--r", type=int, dest="rank")
+    p.add_argument("--lam", type=float,
+                   help="l1 / group weight (lasso, group-lasso); must be positive")
+    p.add_argument("--gl-samples", type=int, dest="gl_samples")
+    p.add_argument("--gl-active", type=float, dest="gl_active")
+    p.add_argument("--gl-noise", type=float, dest="gl_noise")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -33,7 +48,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver", choices=SOLVERS)
     p.add_argument("--passes", type=int)
     p.add_argument("--K", type=int, dest="K")
-    p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int,
                    help="accepted and recorded in the trace; the engine runs on one thread")
     p.add_argument("--rule", choices=STEPSIZE_RULES)
@@ -45,17 +59,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label", help="series label in compare outputs")
     p.add_argument("--gap", action="store_const", const=True,
                    help="emit the saddle gap column (tiny lasso only)")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--no-normalize", action="store_const", const=False,
-                   dest="normalize", help="skip unit-norm column scaling (lasso)")
-    p.add_argument("--r", type=int, dest="rank")
-    p.add_argument("--lam", type=float)
-    p.add_argument("--gl-samples", type=int, dest="gl_samples")
-    p.add_argument("--gl-active", type=float, dest="gl_active")
-    p.add_argument("--gl-noise", type=float, dest="gl_noise")
     p.add_argument("--path", help="problem directory (with --problem file)")
+    _add_problem_flags(p)
 
 
 _RUN_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
@@ -73,31 +78,7 @@ def _config_from_args(args) -> RunConfig:
 def _cmd_generate(args) -> int:
     # generate's --out is the problem directory, not a trace path
     config = config_from_sources(None, {**_flag_values(args), "out": None})
-    seed = config.seed
-    if config.problem == "lasso":
-        m, n, d = config.sizes()
-        A, b, lam = gen_lasso(m, n, d, seed, normalize=config.normalize)
-        root = save_problem_dir(args.out, "lasso", {"A": A, "b": b},
-                                {"m": m, "n": n, "d": d, "seed": seed,
-                                 "normalize": config.normalize, "lam": lam})
-    elif config.problem == "rpca":
-        m, n, r = config.sizes()
-        B = gen_rpca(m, n, r, seed)
-        mu2, mu3 = rpca_default_penalties(B)
-        root = save_problem_dir(args.out, "rpca", {"B": B},
-                                {"m": m, "n": n, "rank": r, "seed": seed,
-                                 "mu2": mu2, "mu3": mu3})
-    else:
-        features, labels, groups = gen_group_lasso(
-            seed, n_samples=config.gl_samples, active_fraction=config.gl_active,
-            label_noise=config.gl_noise)
-        lam = config.lam if config.lam is not None else DEFAULT_GROUP_LASSO_LAM
-        root = save_problem_dir(args.out, "group-lasso",
-                                {"features": features, "labels": labels},
-                                {"groups": list(groups.group_sizes), "seed": seed,
-                                 "n_samples": config.gl_samples,
-                                 "active_fraction": config.gl_active,
-                                 "label_noise": config.gl_noise, "lam": lam})
+    root = save_problem_dir(args.out, *problem_data(config))
     print(f"wrote {config.problem} problem to {root}")
     return 0
 
@@ -134,17 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write a synthetic problem directory")
     p_gen.add_argument("--problem", choices=("lasso", "rpca", "group-lasso"),
                        required=True)
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--m", type=int)
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--d", type=int)
-    p_gen.add_argument("--r", type=int, dest="rank")
-    p_gen.add_argument("--no-normalize", action="store_const", const=False,
-                       dest="normalize")
-    p_gen.add_argument("--lam", type=float)
-    p_gen.add_argument("--gl-samples", type=int, dest="gl_samples")
-    p_gen.add_argument("--gl-active", type=float, dest="gl_active")
-    p_gen.add_argument("--gl-noise", type=float, dest="gl_noise")
+    _add_problem_flags(p_gen)
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.set_defaults(func=_cmd_generate)
 

@@ -116,10 +116,15 @@ def _format_meta_value(value):
     return str(value)
 
 
+def meta_text(meta: dict) -> dict:
+    """``meta`` with each value as the text ``meta.txt`` holds for it."""
+    return {key: _format_meta_value(value) for key, value in meta.items()}
+
+
 def write_meta(path, meta: dict) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for key in sorted(meta):
-            fh.write(f"{key} = {_format_meta_value(meta[key])}\n")
+        for key, value in sorted(meta_text(meta).items()):
+            fh.write(f"{key} = {value}\n")
 
 
 def read_meta(path) -> dict:

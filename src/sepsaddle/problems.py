@@ -304,7 +304,7 @@ def make_group_lasso_hinge(features, labels, groups: GroupSpec, lam: float) -> S
         primal_objective=objective,
         residual_kind="suboptimality",
         name="group-lasso",
-        meta={"lam": lam, "n_samples": n_samples, "features": F, "labels": z},
+        meta={"lam": lam},
     )
 
 

@@ -83,7 +83,6 @@ class StepsizeConfig:
     J: int
     sigma_override: float | None = None
     sigma_scale: float = 1.0
-    block_norms: tuple | None = None
 
     @classmethod
     def for_instance(cls, instance, K: int, rule: str = "adaptive-l1",
@@ -101,23 +100,14 @@ class StepsizeConfig:
         if sigma_scale <= 0:
             raise ConfigError("sigma_scale must be positive")
 
-        block_norms = None
+        coupling = instance.coupling
         if rule == "adaptive-l1":
-            h = np.array(instance.coupling.col_abs_sums, dtype=float)
+            h = coupling.col_abs_sums
         else:
-            block_norms = tuple(instance.coupling.block_norms)
-            h = np.empty(instance.n)
-            for j, nrm in enumerate(block_norms):
-                h[instance.block_slice(j)] = nrm
+            h = np.repeat(coupling.block_norms, coupling.partition.block_sizes)
 
         below = h < floor_eps
-        h = np.maximum(h, floor_eps)
-
-        # non-separable blocks take the block maximum as a uniform penalty
-        for j, fn in enumerate(instance.block_fns):
-            if not getattr(fn, "separable", True):
-                sl = instance.block_slice(j)
-                h[sl] = h[sl].max()
+        h = lift_nonseparable(instance, np.maximum(h, floor_eps))
 
         # warn only where the floor is still the penalty after that lift
         floored = np.flatnonzero(below & (h == floor_eps))
@@ -131,8 +121,17 @@ class StepsizeConfig:
             )
 
         return cls(rule=rule, h=h, theta=K / J, floor_eps=floor_eps, K=K, J=J,
-                   sigma_override=sigma_override, sigma_scale=sigma_scale,
-                   block_norms=block_norms)
+                   sigma_override=sigma_override, sigma_scale=sigma_scale)
+
+
+def lift_nonseparable(instance, h: np.ndarray) -> np.ndarray:
+    """Set h on each non-separable block to the block maximum, in place: their
+    prox needs a uniform penalty, and the maximum preserves validity."""
+    for j, fn in enumerate(instance.block_fns):
+        if not getattr(fn, "separable", True):
+            sl = instance.block_slice(j)
+            h[sl] = h[sl].max()
+    return h
 
 
 def sample_blocks(rng: np.random.Generator, J: int, K: int) -> np.ndarray:
@@ -143,8 +142,7 @@ def sample_blocks(rng: np.random.Generator, J: int, K: int) -> np.ndarray:
 
 
 def compute_sigma_t(coupling, blocks, K: int, J: int, rule: str = "adaptive-l1",
-                    floor_eps: float = FLOOR_EPS, block_norms=None, *,
-                    columns=None) -> np.ndarray:
+                    floor_eps: float = FLOOR_EPS, *, columns=None) -> np.ndarray:
     """Per-iteration dual penalties for the selected blocks.
 
     adaptive-l1:     sigma_k = (J/K) sum_{j in S} sum_{d in block j} |A_kd|
@@ -157,7 +155,7 @@ def compute_sigma_t(coupling, blocks, K: int, J: int, rule: str = "adaptive-l1",
         rows = coupling.row_abs_sums(blocks) if columns is None else columns.row_abs_sums()
         sigma = (J / K) * rows
     elif rule == "block-spectral":
-        norms = block_norms if block_norms is not None else coupling.block_norms
+        norms = coupling.block_norms
         sigma = np.full(coupling.m, (J / K) * sum(norms[j] for j in blocks))
     else:
         raise ConfigError(f"unknown stepsize rule {rule!r}")
@@ -168,8 +166,7 @@ def _sigma_for(instance, blocks, config: StepsizeConfig, columns=None) -> np.nda
     if config.sigma_override is not None:
         return np.full(instance.m, max(config.sigma_override, config.floor_eps))
     sigma = compute_sigma_t(instance.coupling, blocks, config.K, config.J,
-                            config.rule, config.floor_eps, config.block_norms,
-                            columns=columns)
+                            config.rule, config.floor_eps, columns=columns)
     if config.sigma_scale != 1.0:
         sigma = np.maximum(sigma * config.sigma_scale, config.floor_eps)
     return sigma

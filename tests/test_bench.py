@@ -19,6 +19,21 @@ from sepsaddle.errors import ConfigError
 from sepsaddle.svgplot import AxisSpec, Series, render_svg
 
 
+# generator flags of a tiny problem of each kind
+TINY_FLAGS = {
+    "lasso": ["--m", "8", "--n", "12", "--d", "3"],
+    "rpca": ["--m", "6", "--n", "8", "--r", "2"],
+    "group-lasso": ["--gl-samples", "30", "--lam", "0.05"],
+}
+
+
+def trace_rows(path):
+    """A trace file's header and rows, with the elapsed_ms column blanked."""
+    header, records = read_trace(path)
+    header.pop("problem")
+    return header, [(r.pass_index, r.objective, r.residual, r.gap) for r in records]
+
+
 def tiny_lasso_config(**overrides):
     base = dict(problem="lasso", solver="spbcd", passes=5, K=4, seed=7,
                 m=8, n=12, d=3)
@@ -42,6 +57,19 @@ class TestRunConfig:
     def test_ista_only_for_lasso(self):
         with pytest.raises(ConfigError, match="lasso"):
             RunConfig(problem="rpca", solver="ista")
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("problem", ["lasso", "group-lasso"])
+    def test_lam_must_be_positive(self, problem, lam):
+        with pytest.raises(ConfigError, match=f"positive for problem '{problem}'"):
+            RunConfig(problem=problem, lam=lam)
+
+    def test_lam_refused_for_rpca(self):
+        with pytest.raises(ConfigError, match="problem 'rpca' has no lam"):
+            RunConfig(problem="rpca", lam=1.0)
+
+    def test_lasso_problem_key_includes_lam(self):
+        assert tiny_lasso_config().problem_key() != tiny_lasso_config(lam=0.5).problem_key()
 
     def test_labels(self):
         assert tiny_lasso_config().series_label() == "spbcd-K4"
@@ -140,6 +168,10 @@ class TestCompare:
     def test_seed_mismatch_refused(self, tmp_path):
         with pytest.raises(ConfigError, match="same problem"):
             compare([tiny_lasso_config(), tiny_lasso_config(seed=8)], tmp_path)
+
+    def test_lam_mismatch_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match="same problem"):
+            compare([tiny_lasso_config(), tiny_lasso_config(lam=0.5)], tmp_path)
 
     def test_duplicate_labels_refused(self, tmp_path):
         with pytest.raises(ConfigError, match="distinct"):
@@ -250,6 +282,62 @@ class TestCli:
                      "--out", str(out)]) == 0
         _, records = read_trace(out)
         assert len(records) == 3
+
+    def test_generate_lasso_writes_lam(self, tmp_path):
+        root = tmp_path / "lasso"
+        assert main(["generate", "--problem", "lasso", *TINY_FLAGS["lasso"], "--lam", "0.5",
+                     "--out", str(root)]) == 0
+        assert "lam = 0.5\n" in (root / "meta.txt").read_text().splitlines(keepends=True)
+
+    def test_run_lam_is_the_lam_of_a_problem_dir(self, tmp_path):
+        root = tmp_path / "lasso"
+        assert main(["generate", "--problem", "lasso", *TINY_FLAGS["lasso"], "--seed", "7",
+                     "--out", str(root)]) == 0
+        meta = root / "meta.txt"
+        lines = meta.read_text().splitlines(keepends=True)
+        meta.write_text("".join("lam = 0.5\n" if line.startswith("lam") else line
+                                for line in lines))
+        common = ["--solver", "spbcd", "--K", "4", "--passes", "4", "--seed", "7"]
+        flags = ["--problem", "lasso", *TINY_FLAGS["lasso"], "--lam", "0.5"]
+        assert main(["run", *flags, *common, "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(["run", "--problem", "file", "--path", str(root), *common,
+                     "--out", str(tmp_path / "b.csv")]) == 0
+        assert trace_rows(tmp_path / "a.csv") == trace_rows(tmp_path / "b.csv")
+
+    @pytest.mark.parametrize("problem", ["lasso", "rpca", "group-lasso"])
+    def test_generated_dir_runs_as_the_generated_problem(self, tmp_path, problem):
+        flags = ["--problem", problem, *TINY_FLAGS[problem]]
+        root = tmp_path / "dir"
+        assert main(["generate", *flags, "--seed", "5", "--out", str(root)]) == 0
+        common = ["--solver", "spbcd", "--K", "3", "--passes", "4", "--seed", "5"]
+        assert main(["run", *flags, *common, "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(["run", "--problem", "file", "--path", str(root), *common,
+                     "--out", str(tmp_path / "b.csv")]) == 0
+        assert trace_rows(tmp_path / "a.csv") == trace_rows(tmp_path / "b.csv")
+
+    @pytest.mark.parametrize("source, lam, problem", [
+        ("run", "0", "lasso"), ("run", "-1", "group-lasso"), ("run", "9", "rpca"),
+        ("generate", "0", "lasso"), ("generate", "9", "rpca"),
+        ("dir", "0", "file"), ("dir", "9", "rpca")])
+    def test_lam_rules_exit_2(self, tmp_path, capsys, source, lam, problem):
+        """--lam must be positive and is refused for rpca, whether the problem
+        is generated, written or read from a directory; nothing is written."""
+        out = tmp_path / "out"
+        if source == "dir":
+            kind = "lasso" if problem == "file" else problem
+            root = tmp_path / kind
+            assert main(["generate", "--problem", kind, *TINY_FLAGS[kind],
+                         "--out", str(root)]) == 0
+            argv = ["run", "--problem", "file", "--path", str(root), "--passes", "2"]
+        else:
+            argv = [source, "--problem", problem, *TINY_FLAGS[problem]]
+            if source == "run":
+                argv += ["--passes", "2"]
+        capsys.readouterr()
+        assert main([*argv, "--lam", lam, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"problem '{problem}'" in err and "lam" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("solver", ["ista", "fista"])
     def test_lasso_solver_on_rpca_dir_exits_2(self, tmp_path, capsys, solver):
