@@ -24,6 +24,36 @@ def batched_perturbation_min(objective_batch, x, rng, num=1000, scale=1e-3):
     return objective_batch(x[None, :] + D).min()
 
 
+def svd_threshold(V, tau):
+    """Singular value thresholding through a full SVD: the oracle for
+    ``prox_nuclear``, which takes it from the Gram matrix instead."""
+    U, s, Wt = np.linalg.svd(V, full_matrices=False)
+    return (U * np.maximum(s - tau, 0.0)) @ Wt
+
+
+ORACLE_KINDS = ("gaussian", "low-rank", "low-rank+noise", "graded", "repeated", "zero")
+
+
+def oracle_input(kind, rows, cols, gen):
+    """A rows x cols test matrix of one spectral kind; see ORACLE_KINDS."""
+    k = min(rows, cols)
+    if kind == "zero":
+        return np.zeros((rows, cols))
+    if kind == "gaussian":
+        return gen.standard_normal((rows, cols))
+    if kind in ("low-rank", "low-rank+noise"):
+        r = int(gen.integers(1, k + 1))
+        low = gen.standard_normal((rows, r)) @ gen.standard_normal((r, cols))
+        return low if kind == "low-rank" else low + 1e-3 * gen.standard_normal((rows, cols))
+    if kind == "graded":
+        s = np.logspace(0, -12, k)
+    else:  # repeated: each value three times
+        s = np.repeat(gen.uniform(0.1, 3.0, size=k), 3)[:k]
+    left = np.linalg.qr(gen.standard_normal((rows, k)))[0]
+    right = np.linalg.qr(gen.standard_normal((cols, k)))[0]
+    return (left * s) @ right.T
+
+
 class TestProxL1:
     def test_shrinks_past_threshold(self):
         assert prox_l1(np.array([2.0]), np.array([1.0]))[0] == 1.0
@@ -124,12 +154,59 @@ class TestProxNuclear:
         assert s_out.sum() <= s_in.sum() + 1e-12
 
     def test_svd_failure_raises_numerics_error(self, monkeypatch):
-        def broken_svd(*args, **kwargs):
+        def broken_eigh(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", broken_svd)
-        with pytest.raises(NumericsError, match="SVD failed"):
+        monkeypatch.setattr(np.linalg, "eigh", broken_eigh)
+        with pytest.raises(NumericsError, match="eigh of the Gram matrix failed") as excinfo:
             prox_nuclear(np.eye(3), 0.5)
+        assert "3x3 matrix (fro norm 1.732e+00, max |entry| 1.000e+00)" in str(excinfo.value)
+
+    def test_never_calls_svd(self, monkeypatch, rng):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("prox_nuclear called np.linalg.svd")
+
+        V = rng.standard_normal((4, 6))
+        expected = svd_threshold(V, 0.7)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert np.allclose(prox_nuclear(V, 0.7), expected, rtol=0, atol=1e-12)
+        assert np.allclose(prox_nuclear(V.T, 0.7), expected.T, rtol=0, atol=1e-12)
+
+    def test_rejects_negative_tau(self):
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            prox_nuclear(np.eye(2), -0.1)
+
+    @pytest.mark.parametrize("shape", [(5, 7), (7, 5), (4, 4)])
+    def test_tau_zero_on_rank_deficient_input(self, shape, rng):
+        """s_k = 0 is never divided by: tau = 0 returns the input, and the
+        zero matrix maps to zero, with no floating-point warning."""
+        low = rng.standard_normal((shape[0], 2)) @ rng.standard_normal((2, shape[1]))
+        low[0, :] = low[:, 0] = 0.0  # an exact zero singular direction on either side
+        with np.errstate(all="raise"):
+            assert np.allclose(prox_nuclear(low, 0.0), low, rtol=0, atol=1e-13)
+            assert np.array_equal(prox_nuclear(np.zeros(shape), 0.0), np.zeros(shape))
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(ORACLE_KINDS),
+        st.sampled_from(["wide", "tall", "square"]),
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                  st.floats(-14.0, 0.0).map(lambda e: 10.0 ** e)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_svd_threshold(self, seed, kind, shape, frac):
+        """Max |entry| error against the SVD route, relative to ||V||_2:
+        <= 1e-12 for tau >= 1e-3 ||V||_2 and <= 1e-8 for any tau >= 0."""
+        gen = np.random.Generator(np.random.PCG64(seed))
+        small, extra = (int(d) for d in gen.integers(1, 9, size=2))
+        rows, cols = {"wide": (small, small + extra), "tall": (small + extra, small),
+                      "square": (small, small)}[shape]
+        V = oracle_input(kind, rows, cols, gen)
+        norm = np.linalg.norm(V, 2)
+        tau = frac * norm
+        err = np.abs(prox_nuclear(V, tau) - svd_threshold(V, tau)).max()
+        bound = 1e-12 if tau >= 1e-3 * norm else 1e-8
+        assert err <= bound * norm, (kind, rows, cols, frac, err / norm)
 
 
 class TestProxQuadratic:

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import time
 import warnings
@@ -515,6 +516,32 @@ class TestRun:
                 state, _ = run(inst, config, pass_budget=passes, seed=4, workers=workers)
                 for name in ("x", "x_bar", "y", "r_bar"):
                     assert np.array_equal(getattr(state, name), getattr(ref, name)), (K, workers, name)
+
+    def test_rpca_gram_prox_matches_svd_prox(self):
+        """30 iterations with the default nuclear prox track, within 1e-10
+        relative, the same run whose nuclear block thresholds through a full
+        SVD (a subclass, so ``BlockProx`` calls its own ``prox``)."""
+        class SvdNuclearBlock(NuclearBlock):
+            def prox(self, v, h):
+                U, s, Wt = np.linalg.svd(self._mat(v), full_matrices=False)
+                tau = self.weight / np.max(h)
+                return ((U * np.maximum(s - tau, 0.0)) @ Wt).ravel()
+
+        B = gen_rpca(20, 30, 2, seed=3)
+        inst = make_rpca(B, *rpca_default_penalties(B))
+        nuclear = inst.block_fns[2]
+        svd_inst = dataclasses.replace(
+            inst, block_fns=inst.block_fns[:2] + (
+                SvdNuclearBlock(nuclear.weight, nuclear.rows, nuclear.cols),))
+        for K in (2, 3):
+            config = StepsizeConfig.for_instance(inst, K=K)
+            passes = 30 // iterations_per_pass(3, K)
+            state, _ = run(inst, config, pass_budget=passes, seed=4)
+            ref, _ = run(svd_inst, config, pass_budget=passes, seed=4)
+            assert state.t == ref.t == 30
+            for name in ("x", "x_bar", "y", "r_bar"):
+                a, b = getattr(state, name), getattr(ref, name)
+                assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), (K, name)
 
     def test_run_starts_no_thread(self):
         """The engine runs on the calling thread for any worker count; at
