@@ -1,5 +1,5 @@
-"""Dense coupling matrices, column-block partitions, and the coupling
-protocol the solvers use.
+"""Coupling matrices (dense, sparse and structural), column-block
+partitions, and the coupling protocol the solvers use.
 
 Matrices are float64 and immutable after construction. A ``DenseMatrix``
 keeps the layout it was built with (C order by default). Every coupling is a
@@ -9,8 +9,10 @@ absolute sums of A_S), the full products, and the stepsize quantities
 (column absolute sums, block norms, spectral norm).
 ``DenseCoupling`` stores its matrix column-major, so a single block and any
 run of consecutive blocks are views and a scattered set of blocks is one
-gather of their columns; ``IdentityStackCoupling`` is the implicit
-[I I ... I] of the low-rank + sparse problem.
+gather of their columns; ``SparseCoupling`` stores only the nonzeros, column
+by column, and forms every product with ``np.bincount``;
+``IdentityStackCoupling`` is the implicit [I I ... I] of the low-rank +
+sparse problem.
 """
 
 from __future__ import annotations
@@ -105,18 +107,19 @@ class BlockPartition:
         return f"BlockPartition({list(self.block_sizes)})"
 
 
-def block_coords(offsets: np.ndarray, blocks):
+def block_coords(offsets: np.ndarray, blocks, nonempty: bool = True):
     """Coordinates covered by the sorted, distinct ``blocks`` of the partition
     with prefix sums ``offsets``, in block order.
 
     A slice when the blocks are consecutive (so indexing with it makes a
-    view), otherwise an index array.
+    view), otherwise an index array. ``nonempty=False`` allows blocks that
+    cover nothing, as in the per-block nonzero offsets of a sparse store.
     """
     blocks = np.asarray(blocks)
     first, last = int(blocks[0]), int(blocks[-1])
     if last - first == blocks.size - 1:
         return slice(int(offsets[first]), int(offsets[last + 1]))
-    if offsets[-1] == offsets.size - 1:  # every block is one coordinate
+    if nonempty and offsets[-1] == offsets.size - 1:  # every block is one coordinate
         return blocks
     starts = offsets[blocks]
     sizes = offsets[blocks + 1] - starts
@@ -160,27 +163,34 @@ def _power_start(n: int, variant: int = 0) -> np.ndarray:
 def spectral_norm_estimate(A, tol: float = 1e-6, max_iters: int = 1000) -> SpectralEstimate:
     """Largest singular value via power iteration on A^T A.
 
+    ``A`` is a matrix, or a ``Coupling`` whose full products are used.
     Deterministic given the fixed start vector. Stops once successive
     estimates agree to relative ``tol``; if that never happens the best
     estimate is returned with ``converged=False``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    M = _values(A)
-    if not np.any(M):
+    if isinstance(A, Coupling):
+        matvec, rmatvec, n = A.matvec, A.rmatvec, A.n
+        zero = not np.any(A.col_abs_sums)
+    else:
+        M = _values(A)
+        matvec, rmatvec, n = M.__matmul__, M.T.__matmul__, M.shape[1]
+        zero = not np.any(M)
+    if zero:
         return SpectralEstimate(0.0, True, 0)
-    v = _power_start(M.shape[1])
+    v = _power_start(n)
     sigma_prev = 0.0
     for it in range(1, max_iters + 1):
-        w = M @ v
+        w = matvec(v)
         sigma = float(np.linalg.norm(w))
         if sigma == 0.0:
-            v = _power_start(M.shape[1], variant=1)
+            v = _power_start(n, variant=1)
             continue
         if abs(sigma - sigma_prev) <= 0.25 * tol * sigma:
             return SpectralEstimate(sigma, True, it)
         sigma_prev = sigma
-        z = M.T @ w
+        z = rmatvec(w)
         v = z / np.linalg.norm(z)
     return SpectralEstimate(sigma_prev, False, max_iters)
 
@@ -192,7 +202,8 @@ class Coupling:
     A subclass sets ``partition`` and ``m`` and supplies ``gather(blocks)``
     (the columns of sorted, distinct blocks, with ``index``, ``rmatvec``,
     ``matvec`` and ``row_abs_sums``), ``matvec``, ``rmatvec``,
-    ``col_abs_sums``, ``block_norms`` and ``spectral_norm``.
+    ``col_abs_sums`` and ``spectral_norm``, and either ``block(j)`` (block j
+    as a dense array) or its own ``block_norms``.
     """
 
     partition: BlockPartition
@@ -213,6 +224,13 @@ class Coupling:
         """Row absolute sums over the selected blocks (duplicates collapse)."""
         return self.gather(selected_blocks(blocks, self.num_blocks)).row_abs_sums()
 
+    @cached_property
+    def block_norms(self) -> tuple[float, ...]:
+        return tuple(
+            spectral_norm_estimate(self.block(j), tol=1e-10, max_iters=5000).value
+            for j in range(self.num_blocks)
+        )
+
 
 class DenseColumns:
     """The columns A_S of a set S of blocks, gathered once for both products
@@ -221,13 +239,11 @@ class DenseColumns:
     ``index`` selects S's coordinates of a primal vector, in block order.
     """
 
-    __slots__ = ("index", "values", "blocks", "_coupling")
+    __slots__ = ("index", "values")
 
-    def __init__(self, values: np.ndarray, index, blocks, coupling: "DenseCoupling"):
+    def __init__(self, values: np.ndarray, index):
         self.values = values
         self.index = index
-        self.blocks = blocks
-        self._coupling = coupling
 
     def rmatvec(self, y) -> np.ndarray:
         """A_S^T y."""
@@ -238,15 +254,8 @@ class DenseColumns:
         return self.values @ v
 
     def row_abs_sums(self) -> np.ndarray:
-        """sum over d in S of |A_kd|, for every row k.
-
-        Summed over the gathered columns when every block is one column;
-        otherwise the selected blocks' rows of the coupling's per-block cache
-        are added, which is cheaper than summing wide blocks afresh.
-        """
-        if self._coupling.single_columns:
-            return np.abs(self.values).sum(axis=1)
-        return self._coupling._block_row_abs_sums[self.blocks].sum(axis=0)
+        """sum over d in S of |A_kd|, for every row k."""
+        return np.abs(self.values).sum(axis=1)
 
 
 class DenseCoupling(Coupling):
@@ -255,9 +264,7 @@ class DenseCoupling(Coupling):
     A matrix in C order is copied once into Fortran order; builders that own
     their data construct it in Fortran order directly so that no second copy
     exists. Caches the derived stepsize quantities (column sums, block norms,
-    the spectral norm) so they are computed once per instance; the per-block
-    row sums behind the dual stepsize rule are cached only when some block is
-    wider than one column. Immutable.
+    the spectral norm) so they are computed once per instance. Immutable.
     """
 
     def __init__(self, matrix: DenseMatrix, partition: BlockPartition):
@@ -272,7 +279,6 @@ class DenseCoupling(Coupling):
         self.matrix = matrix
         self.partition = partition
         self.m = matrix.rows
-        self.single_columns = partition.total == partition.num_blocks
 
     def block(self, j: int) -> np.ndarray:
         return self.matrix.values[:, self.partition.slice_of(j)]
@@ -281,7 +287,7 @@ class DenseCoupling(Coupling):
         """A_S for the sorted, distinct ``blocks``: a view when they are
         consecutive, otherwise one gather of their columns."""
         index = block_coords(self.partition.offset_array, blocks)
-        return DenseColumns(self.matrix.values[:, index], index, blocks, self)
+        return DenseColumns(self.matrix.values[:, index], index)
 
     def matvec(self, x) -> np.ndarray:
         return self.matrix.values @ x
@@ -297,28 +303,143 @@ class DenseCoupling(Coupling):
         return out
 
     @cached_property
-    def _block_row_abs_sums(self) -> np.ndarray:
-        # (J, m): row absolute sums within each block, built on the first
-        # wide selection; single-column partitions never need it
-        out = np.stack([
-            np.abs(self.block(j)).sum(axis=1) for j in range(self.num_blocks)
-        ])
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def block_norms(self) -> tuple[float, ...]:
-        return tuple(
-            spectral_norm_estimate(self.block(j), tol=1e-10, max_iters=5000).value
-            for j in range(self.num_blocks)
-        )
-
-    @cached_property
     def spectral_norm(self) -> float:
         return spectral_norm_estimate(self.matrix, tol=1e-8, max_iters=5000).value
 
     def __repr__(self):
         return f"DenseCoupling({self.m}x{self.n}, J={self.num_blocks})"
+
+
+def column_major_nonzeros(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the nonzero entries of the 2-d array ``A``
+    (NaN and inf count as nonzero), column by column, rows ascending in each.
+
+    One row-major scan and a stable sort by column: a column-by-column scan
+    of a C-order array is strided, and measured slower than the sort. The
+    scan is of the mask ``A != 0``, which ``np.nonzero`` walks faster than
+    the float array itself.
+    """
+    rows, cols = np.nonzero(A != 0)
+    order = np.argsort(cols, kind="stable")
+    return rows[order], cols[order]
+
+
+class SparseColumns(NamedTuple):
+    """The nonzeros of the columns A_S of a set S of blocks, gathered once for
+    both products and the dual stepsize rule: their rows, their positions
+    among S's coordinates (``width`` of them), and their values.
+
+    ``index`` selects S's coordinates of a primal vector, in block order.
+    """
+
+    index: object
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    width: int
+    m: int
+
+    def rmatvec(self, y) -> np.ndarray:
+        """A_S^T y."""
+        return np.bincount(self.cols, weights=self.vals * y[self.rows], minlength=self.width)
+
+    def matvec(self, v) -> np.ndarray:
+        """A_S v, for v ordered like ``index``."""
+        return np.bincount(self.rows, weights=self.vals * v[self.cols], minlength=self.m)
+
+    def row_abs_sums(self) -> np.ndarray:
+        """sum over d in S of |A_kd|, for every row k."""
+        return np.bincount(self.rows, weights=np.abs(self.vals), minlength=self.m)
+
+
+class SparseCoupling(Coupling):
+    """Column-block view of a sparse coupling matrix: its nonzeros stored
+    column by column, as row indices, column ids and values, with the offset
+    of each block's first nonzero.
+
+    ``rows``, ``cols`` and ``vals`` list the nonzeros with ``cols`` sorted
+    (``column_major_nonzeros`` gives that order); they are copied. For a
+    single block or a run of consecutive blocks, gather takes views of the
+    stored rows and values; for a scattered set, one gather of their
+    nonzeros. Every product is one
+    ``np.bincount``, which adds in a fixed order. Caches the derived stepsize
+    quantities like ``DenseCoupling``. Immutable.
+    """
+
+    def __init__(self, rows, cols, vals, m: int, partition: BlockPartition):
+        rows = np.array(rows, dtype=np.intp)
+        cols = np.array(cols, dtype=np.intp)
+        vals = np.array(vals, dtype=float)
+        if not rows.ndim == cols.ndim == vals.ndim == 1 or not rows.size == cols.size == vals.size:
+            raise ValueError("rows, cols and vals must be 1-d arrays of one length")
+        if m < 1:
+            raise ValueError(f"matrix must have at least one row, got m={m}")
+        if rows.size:
+            if rows.min() < 0 or rows.max() >= m:
+                raise ValueError(f"row indices must lie in [0, {m})")
+            if cols[0] < 0 or cols[-1] >= partition.total or np.any(cols[1:] < cols[:-1]):
+                raise ValueError(f"column ids must be sorted and lie in [0, {partition.total})")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("matrix entries must be finite")
+        for arr in (rows, cols, vals):
+            arr.setflags(write=False)
+        self.nz_rows, self.nz_cols, self.nz_values = rows, cols, vals
+        self.partition = partition
+        self.m = int(m)
+        self._block_nz = np.searchsorted(cols, partition.offset_array)
+        self._block_nz.setflags(write=False)
+
+    def block(self, j: int) -> np.ndarray:
+        """Block j as a dense, column-major m x n_j array."""
+        sl = self.partition.slice_of(j)
+        nz = slice(self._block_nz[j], self._block_nz[j + 1])
+        out = np.zeros((self.m, sl.stop - sl.start), order="F")
+        out[self.nz_rows[nz], self.nz_cols[nz] - sl.start] = self.nz_values[nz]
+        return out
+
+    def gather(self, blocks) -> SparseColumns:
+        """The nonzeros of A_S for the sorted, distinct ``blocks``: views of
+        the rows and values when they are consecutive, otherwise one gather."""
+        blocks = np.asarray(blocks)
+        offsets = self.partition.offset_array
+        index = block_coords(offsets, blocks)
+        nz = block_coords(self._block_nz, blocks, nonempty=False)
+        if isinstance(index, slice):
+            cols = self.nz_cols[nz] - index.start
+            width = index.stop - index.start
+        else:
+            # shift each block's column ids to its place among S's coordinates
+            starts = offsets[blocks]
+            sizes = offsets[blocks + 1] - starts
+            shift = starts - (np.cumsum(sizes) - sizes)
+            counts = self._block_nz[blocks + 1] - self._block_nz[blocks]
+            cols = self.nz_cols[nz] - np.repeat(shift, counts)
+            width = index.size
+        return SparseColumns(index, self.nz_rows[nz], cols, self.nz_values[nz], width, self.m)
+
+    def matvec(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.bincount(self.nz_rows, weights=self.nz_values * x[self.nz_cols],
+                           minlength=self.m)
+
+    def rmatvec(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        return np.bincount(self.nz_cols, weights=self.nz_values * y[self.nz_rows],
+                           minlength=self.n)
+
+    @cached_property
+    def col_abs_sums(self) -> np.ndarray:
+        """Per-column sums of absolute entries: the adaptive primal penalty."""
+        out = np.bincount(self.nz_cols, weights=np.abs(self.nz_values), minlength=self.n)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def spectral_norm(self) -> float:
+        return spectral_norm_estimate(self, tol=1e-8, max_iters=5000).value
+
+    def __repr__(self):
+        return f"SparseCoupling({self.m}x{self.n}, J={self.num_blocks}, nnz={self.nz_values.size})"
 
 
 class StackColumns:

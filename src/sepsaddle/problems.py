@@ -3,9 +3,10 @@ applications: lasso, robust low-rank/sparse matrix decomposition, and group
 lasso with hinge loss.
 
 Every builder yields a ``SepCCSPInstance``: block-separable functions f_j, a
-dual function g*, and a ``matrices.Coupling`` (a ``DenseCoupling``, or the
-``IdentityStackCoupling`` of the low-rank + sparse problem) tied together
-with the application's own objective and residual evaluators.
+dual function g*, and a ``matrices.Coupling`` (a ``DenseCoupling`` for lasso,
+the ``IdentityStackCoupling`` of the low-rank + sparse problem, a
+``SparseCoupling`` of the one-hot group-lasso features) tied together with
+the application's own objective and residual evaluators.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from .matrices import (  # noqa: F401  (StackColumns: re-exported from here)
     DenseCoupling,
     DenseMatrix,
     IdentityStackCoupling,
+    SparseCoupling,
     StackColumns,
+    column_major_nonzeros,
     spectral_norm_estimate,
 )
 
@@ -283,18 +286,20 @@ def make_group_lasso_hinge(features, labels, groups: GroupSpec, lam: float) -> S
     if F.shape[1] != groups.total:
         raise ValueError(f"feature width {F.shape[1]} != sum of group sizes {groups.total}")
 
-    # written once, straight into the coupling's column-major layout, and
-    # scaled in place (bitwise equal to -(z F) / N)
-    scaled = np.multiply(z[:, None], F, order="F")
-    np.divide(scaled, -n_samples, out=scaled)
-    coupling = DenseCoupling(DenseMatrix._adopt(scaled), groups.partition())
+    # the nonzeros of A = -(z F) / N, scaled bitwise equal to it; the
+    # features themselves are neither copied nor kept
+    rows, cols = column_major_nonzeros(F)
+    vals = z[rows] * F[rows, cols]
+    np.divide(vals, -n_samples, out=vals)
+    coupling = SparseCoupling(rows, cols, vals, n_samples, groups.partition())
     weights = lam * groups.weights
     starts = np.asarray(coupling.partition.offsets[:-1])
 
     def objective(x):
         x = np.asarray(x, dtype=float)
         group_norms = np.sqrt(np.add.reduceat(x * x, starts))
-        hinge = np.maximum(0.0, 1.0 - z * (F @ x)).mean()
+        # z * (F x) = -N (A x)
+        hinge = np.maximum(0.0, 1.0 + n_samples * coupling.matvec(x)).mean()
         return float(weights @ group_norms + hinge)
 
     return SepCCSPInstance(

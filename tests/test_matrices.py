@@ -8,8 +8,16 @@ from sepsaddle.matrices import (
     block_coords,
     DenseCoupling,
     DenseMatrix,
+    SparseCoupling,
+    column_major_nonzeros,
     spectral_norm_estimate,
 )
+
+
+def sparse_coupling(A, partition):
+    """The sparse store of the nonzeros of the dense array ``A``."""
+    rows, cols = column_major_nonzeros(A)
+    return SparseCoupling(rows, cols, A[rows, cols], A.shape[0], partition)
 
 
 def identity_stack(m, copies):
@@ -96,6 +104,15 @@ class TestBlockPartition:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             BlockPartition([2, 2]).slice_of(2)
+
+    def test_coords_over_empty_blocks(self):
+        # per-block nonzero offsets: blocks 0 and 2 hold nothing, block 1
+        # three entries, block 3 one; four entries over four blocks is not
+        # "one coordinate each"
+        offsets = np.array([0, 0, 3, 3, 4])
+        assert np.array_equal(block_coords(offsets, [0, 2, 3], nonempty=False), [3])
+        assert np.array_equal(block_coords(offsets, [1, 3], nonempty=False), [0, 1, 2, 3])
+        assert block_coords(offsets, [0], nonempty=False) == slice(0, 0)
 
     def test_coords_of_a_run_is_a_slice(self):
         offsets = BlockPartition([2, 3, 1, 2]).offset_array
@@ -219,15 +236,6 @@ class TestGatheredRowAbsSums:
                                   block_cache_row_abs_sums(coupling, blocks))
             assert np.array_equal(coupling.row_abs_sums(blocks),
                                   block_cache_row_abs_sums(coupling, blocks))
-        assert "_block_row_abs_sums" not in vars(coupling)
-
-    def test_wide_blocks_sum_the_block_cache(self, rng):
-        A = rng.standard_normal((5, 9))
-        coupling = DenseCoupling(DenseMatrix(A), BlockPartition([1, 3, 4, 1]))
-        assert "_block_row_abs_sums" not in vars(coupling)
-        out = coupling.gather(np.array([0, 2])).row_abs_sums()
-        assert "_block_row_abs_sums" in vars(coupling)
-        assert np.allclose(out, np.abs(A[:, [0, 4, 5, 6, 7]]).sum(axis=1), rtol=1e-14, atol=0)
 
 
 class TestBlockMatvec:
@@ -356,3 +364,60 @@ class TestDenseCoupling:
         assert np.allclose(coupling.matvec(x), A @ x)
         assert np.allclose(coupling.rmatvec(y), A.T @ y)
         assert np.allclose(coupling.gather(np.array([1])).rmatvec(y), A[:, 3:].T @ y)
+
+
+class TestSparseCoupling:
+    def test_nonzeros_are_column_major(self):
+        A = np.array([[0.0, 2.0, 0.0, 5.0],
+                      [1.0, 0.0, 0.0, 6.0],
+                      [3.0, 4.0, 0.0, 0.0]])
+        rows, cols = column_major_nonzeros(A)
+        assert rows.tolist() == [1, 2, 0, 2, 0, 1]
+        assert cols.tolist() == [0, 0, 1, 1, 3, 3]
+        coupling = sparse_coupling(A, BlockPartition([1, 2, 1]))
+        assert coupling.nz_values.size == 6
+        assert np.array_equal(coupling.nz_values, A[rows, cols])
+        assert not coupling.nz_values.flags.writeable
+        assert np.array_equal(coupling.block(1), A[:, 1:3])
+        assert coupling.block(1).flags.f_contiguous
+
+    def test_rejects_non_finite_and_malformed_input(self):
+        P = BlockPartition([2])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sparse_coupling(np.array([[0.0, bad]]), P)
+        with pytest.raises(ValueError, match="lie in"):
+            sparse_coupling(np.eye(3), P)
+        with pytest.raises(ValueError, match="sorted"):
+            SparseCoupling([0, 0], [1, 0], [1.0, 1.0], 1, P)
+        with pytest.raises(ValueError, match="row indices"):
+            SparseCoupling([1], [0], [1.0], 1, P)
+        with pytest.raises(ValueError, match="one length"):
+            SparseCoupling([0], [0, 1], [1.0], 1, P)
+
+    def test_gather_of_a_run_is_views(self, rng):
+        A = rng.standard_normal((4, 7)) * (rng.uniform(size=(4, 7)) < 0.5)
+        coupling = sparse_coupling(A, BlockPartition([2, 1, 3, 1]))
+        run = coupling.gather(np.array([1, 2]))
+        assert run.index == slice(2, 6)
+        assert np.shares_memory(run.rows, coupling.nz_rows)
+        assert np.shares_memory(run.vals, coupling.nz_values)
+
+    def test_scattered_gather_skips_empty_blocks(self):
+        # nnz equals the number of blocks, but block 0 is empty
+        A = np.array([[0.0, 1.0, 0.0], [0.0, 2.0, 3.0]])
+        coupling = sparse_coupling(A, BlockPartition.singletons(3))
+        columns = coupling.gather(np.array([0, 2]))
+        y = np.array([1.0, -1.0])
+        assert np.array_equal(columns.rmatvec(y), [0.0, -3.0])
+        assert np.array_equal(columns.matvec(np.array([5.0, 2.0])), [0.0, 6.0])
+        assert np.array_equal(columns.row_abs_sums(), [0.0, 3.0])
+
+    def test_all_zero_matrix(self):
+        coupling = sparse_coupling(np.zeros((3, 4)), BlockPartition([3, 1]))
+        assert coupling.nz_values.size == 0
+        assert np.array_equal(coupling.matvec(np.ones(4)), np.zeros(3))
+        assert np.array_equal(coupling.rmatvec(np.ones(3)), np.zeros(4))
+        assert np.array_equal(coupling.row_abs_sums([1]), np.zeros(3))
+        assert coupling.block_norms == (0.0, 0.0)
+        assert coupling.spectral_norm == 0.0

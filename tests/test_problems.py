@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -219,14 +222,48 @@ class TestMakeGroupLassoHinge:
         inst = self.small_instance()
         assert inst.objective(np.zeros(inst.n)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_coupling_is_scaled_features_column_major(self):
+    def test_coupling_stores_scaled_nonzeros_column_major(self, rng):
         features, labels, spec = gen_group_lasso(seed=2, n_samples=40)
-        inst = make_group_lasso_hinge(features, labels, spec, 0.05)
-        stored = inst.coupling.matrix.values
-        assert stored.flags.f_contiguous
-        assert np.array_equal(stored, -(labels[:, None] * features.values) / 40)
-        assert features.values.flags.c_contiguous
-        assert not stored.flags.writeable and stored.flags.owndata
+        # the one-hot pattern with general values, so that a different
+        # rounding of the scaling shows; a caller's own, writeable array
+        F = features.values * rng.uniform(0.5, 2.0, features.shape)
+        before = F.copy()
+        inst = make_group_lasso_hinge(F, labels, spec, 0.05)
+        coupling = inst.coupling
+        rows, cols = coupling.nz_rows, coupling.nz_cols
+        scaled = -(labels[:, None] * before) / 40
+        # every nonzero of -(z F) / N, bitwise, and nothing else
+        assert coupling.nz_values.size == np.count_nonzero(scaled)
+        assert np.array_equal(coupling.nz_values, scaled[rows, cols])
+        # column-major, rows ascending within each column
+        step = np.diff(cols)
+        assert np.all(step >= 0) and np.all(np.diff(rows)[step == 0] > 0)
+        # the caller's features are left as they were
+        assert np.array_equal(F, before)
+        assert F.flags.writeable and F.flags.c_contiguous
+
+    def test_objective_keeps_no_features(self, rng):
+        features, labels, spec = gen_group_lasso(seed=3, n_samples=30)
+        F = features.values.copy()
+        inst = make_group_lasso_hinge(F, labels, spec, 0.05)
+        for _ in range(3):
+            x = rng.standard_normal(inst.n)
+            norms = [np.linalg.norm(x[inst.block_slice(j)]) for j in range(inst.num_blocks)]
+            direct = (0.05 * spec.weights @ norms
+                      + np.maximum(0.0, 1.0 - labels * (F @ x)).mean())
+            assert inst.objective(x) == pytest.approx(direct, rel=1e-12)
+        features_ref = weakref.ref(F)
+        del F
+        gc.collect()
+        assert features_ref() is None
+
+    def test_rejects_non_finite_features(self):
+        features, labels, spec = gen_group_lasso(seed=2, n_samples=10)
+        for bad in (np.nan, np.inf):
+            F = features.values.copy()
+            F[3, 5] = bad
+            with pytest.raises(ValueError, match="finite"):
+                make_group_lasso_hinge(F, labels, spec, 0.1)
 
     def test_rejects_bad_labels(self):
         features, labels, spec = gen_group_lasso(seed=2, n_samples=10)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sepsaddle.baselines import preconditioned_pdcp_run
 from sepsaddle.errors import ConfigError, NumericsError, RunAborted
 from sepsaddle.functions import (
+    BoxLinearDual,
     GroupL2Block,
     L1Block,
     NuclearBlock,
@@ -18,7 +19,13 @@ from sepsaddle.functions import (
     QuadraticDual,
     ZeroBlock,
 )
-from sepsaddle.matrices import BlockPartition, DenseCoupling, DenseMatrix
+from sepsaddle.matrices import (
+    BlockPartition,
+    DenseCoupling,
+    DenseMatrix,
+    SparseCoupling,
+    column_major_nonzeros,
+)
 from sepsaddle.problems import (
     GroupSpec,
     SepCCSPInstance,
@@ -484,14 +491,6 @@ class TestRun:
             assert np.array_equal(x1, x2)
             assert np.array_equal(y1, y2)
 
-    def test_lasso_run_never_builds_block_row_cache(self):
-        # single-column blocks take sigma^t from the gathered columns
-        A, b, lam = gen_lasso(8, 12, 3, seed=21)
-        inst = make_lasso(A, b, lam)
-        for K in (1, 5, 12):
-            run(inst, StepsizeConfig.for_instance(inst, K=K), pass_budget=3, seed=4)
-        assert "_block_row_abs_sums" not in inst.coupling.__dict__
-
     def test_group_lasso_dual_stays_in_box(self):
         features, labels, spec = gen_group_lasso(seed=2, n_samples=40)
         inst = make_group_lasso_hinge(features, labels, spec, 0.02)
@@ -625,3 +624,99 @@ def test_batched_iterate_matches_per_block_loop(kind, size, layout, rule, sigma_
             got, want = getattr(batched, name), getattr(reference, name)
             scale = max(1.0, float(np.abs(want).max()))
             assert np.abs(got - want).max() <= 1e-12 * scale, name
+
+
+# ---------------------------------------------------------------------------
+# Sparse against dense: the sparse store adds the same products in another
+# order, so iterates agree to 1e-12 relative (the tolerance of the batched
+# test above), and every derived quantity matches a brute-force oracle.
+# ---------------------------------------------------------------------------
+
+def sparse_coupling(A, partition):
+    """The sparse store of the nonzeros of the dense array ``A``."""
+    rows, cols = column_major_nonzeros(A)
+    return SparseCoupling(rows, cols, A[rows, cols], A.shape[0], partition)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A small matrix with a random sparsity pattern and some all-zero rows
+    and columns, a partition of its columns, a selection size and a seed."""
+    J = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=J, max_size=J))
+    m = draw(st.integers(1, 8))
+    n = sum(sizes)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    gen = np.random.Generator(np.random.PCG64(seed))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    A = gen.standard_normal((m, n)) * (gen.uniform(size=(m, n)) < density)
+    A[sorted(draw(st.sets(st.integers(0, m - 1), max_size=m))), :] = 0.0
+    A[:, sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))] = 0.0
+    return A, sizes, draw(st.integers(1, J)), seed
+
+
+def assert_close(got, want, tol=1e-12):
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert np.abs(np.asarray(got) - want).max(initial=0.0) <= tol * scale
+
+
+@given(drawn=sparse_matrices(),
+       layout=st.sampled_from(["run", "scattered"]),
+       rule=st.sampled_from(STEPSIZE_RULES),
+       dual=st.sampled_from(["quadratic", "box"]),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+@settings(max_examples=150, deadline=None)
+def test_sparse_coupling_matches_dense(drawn, layout, rule, dual, bad):
+    A, sizes, K, seed = drawn
+    gen = np.random.Generator(np.random.PCG64(seed ^ 0x5EED))
+    P = BlockPartition(sizes)
+    m, n, J = A.shape[0], P.total, P.num_blocks
+    sparse = sparse_coupling(A, P)
+    dense = DenseCoupling(DenseMatrix(A), P)
+
+    # full products and stepsize quantities against brute force
+    x, y = gen.standard_normal(n), gen.standard_normal(m)
+    assert_close(sparse.matvec(x), A @ x)
+    assert_close(sparse.rmatvec(y), A.T @ y)
+    assert_close(sparse.col_abs_sums, np.abs(A).sum(axis=0))
+    for j in range(J):
+        exact = np.linalg.svd(A[:, P.slice_of(j)], compute_uv=False)[0]
+        assert abs(sparse.block_norms[j] - exact) <= 1e-6 * exact
+    exact = np.linalg.svd(A, compute_uv=False)[0]
+    assert abs(sparse.spectral_norm - exact) <= 1e-6 * exact
+
+    # one gathered selection, consecutive or scattered
+    blocks = selection(gen, J, K, layout)
+    coords = np.concatenate([np.arange(n)[P.slice_of(j)] for j in blocks])
+    columns = sparse.gather(blocks)
+    assert np.array_equal(np.arange(n)[columns.index], coords)
+    v = gen.standard_normal(coords.size)
+    assert_close(columns.rmatvec(y), A[:, coords].T @ y)
+    assert_close(columns.matvec(v), A[:, coords] @ v)
+    assert_close(columns.row_abs_sums(), np.abs(A[:, coords]).sum(axis=1))
+    assert_close(sparse.row_abs_sums(blocks), np.abs(A[:, coords]).sum(axis=1))
+
+    # a few engine iterations on each store, from one start and selection list
+    dual_fn = QuadraticDual(gen.standard_normal(m)) if dual == "quadratic" else BoxLinearDual(-1.0 / m)
+    block_fns = tuple(L1Block(w) if size == 1 else GroupL2Block(w)
+                      for size, w in zip(sizes, gen.uniform(0.05, 0.5, J)))
+    x0, y0 = gen.standard_normal(n), gen.uniform(0.0, 1.0, m)
+    selections = [selection(gen, J, K, layout) for _ in range(5)]
+    runs = []
+    for coupling in (sparse, dense):
+        inst = SepCCSPInstance(coupling=coupling, block_fns=block_fns, dual_fn=dual_fn,
+                               primal_objective=lambda x: 0.0, residual_kind="suboptimality")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # floored penalties
+            config = StepsizeConfig.for_instance(inst, K=K, rule=rule)
+        runs.append((inst, config, initial_state(inst, x0=x0, y0=y0), Draws(selections)))
+    for _ in selections:
+        for inst, config, state, draws in runs:
+            iterate(inst, state, config, draws)
+        for name in ("x", "x_bar", "y", "r_bar"):
+            assert_close(getattr(runs[0][2], name), getattr(runs[1][2], name))
+
+    # a non-finite entry is a stored nonzero, and is refused
+    A[gen.integers(m), gen.integers(n)] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sparse_coupling(A, P)
