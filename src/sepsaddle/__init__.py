@@ -3,10 +3,10 @@
 The block engine lives in :mod:`sepsaddle.spbcd`; batch baselines in
 :mod:`sepsaddle.baselines`; problem builders in :mod:`sepsaddle.problems`;
 the coupling protocol in :mod:`sepsaddle.matrices`; the benchmark harness in
-:mod:`sepsaddle.bench`; numerical oracles for the test suite in
-:mod:`sepsaddle.verify`. The package namespace holds what the CLI, the
-benchmark scripts and the README use; everything else is imported from its
-module.
+:mod:`sepsaddle.bench`. The package holds only what the CLI, the benchmark
+scripts and the library run; the test suite's numerical oracles live with
+the tests. The package namespace holds what the CLI, the benchmark scripts
+and the README use; everything else is imported from its module.
 """
 
 from .baselines import PdcpConfig, fista_run, ista_run, pdcp_run, preconditioned_pdcp_run

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError
 from .matrices import _values, spectral_norm_estimate
 from .prox import prox_l1
-from .spbcd import lift_nonseparable, timed_passes
+from .spbcd import FLOOR_EPS, lift_nonseparable, timed_passes
 
 
 @dataclass
@@ -95,13 +95,13 @@ def pdcp_run(instance, config: PdcpConfig, passes: int, metric_callback=None,
                         pdcp_initial_state(instance, x0, y0), passes, metric_callback)
 
 
-def preconditioned_penalties(instance, floor_eps: float = 1e-10):
+def preconditioned_penalties(instance):
     """Per-coordinate h_d = column abs sums (block-uniformized where the prox
     needs it) and per-row sigma_k = full row abs sums, taken the way the
     block engine's adaptive-l1 rule takes them at K = J."""
-    h = lift_nonseparable(instance, np.maximum(instance.coupling.col_abs_sums, floor_eps))
+    h = lift_nonseparable(instance, np.maximum(instance.coupling.col_abs_sums, FLOOR_EPS))
     sigma = np.maximum(
-        instance.coupling.row_abs_sums(range(instance.num_blocks)), floor_eps
+        instance.coupling.row_abs_sums(range(instance.num_blocks)), FLOOR_EPS
     )
     return h, sigma
 
@@ -170,9 +170,9 @@ def preconditioned_reference(instance, tol: float = 1e-10, window: int = 50,
 # ISTA / FISTA for lasso
 # ---------------------------------------------------------------------------
 
-def lipschitz_upper(A, tol: float = 1e-6) -> float:
+def lipschitz_upper(A) -> float:
     """||A||^2 estimated by power iteration, times a 1.01 safety factor."""
-    return spectral_norm_estimate(A, tol=tol, max_iters=5000).value ** 2 * 1.01
+    return spectral_norm_estimate(A, tol=1e-6, max_iters=5000).value ** 2 * 1.01
 
 
 def ista_step(A, b, lam: float, L: float, x) -> np.ndarray:

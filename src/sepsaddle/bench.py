@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, spbcd
-from .datafiles import groups_from_meta, load_libsvm, load_problem_dir, meta_text
+from .datafiles import (
+    groups_from_meta,
+    load_libsvm,
+    load_problem_dir,
+    meta_text,
+    meta_value,
+    positive_float,
+)
 from .errors import ConfigError, FormatError, RunAborted
 from .matrices import _values
 from .problems import (
@@ -143,7 +150,7 @@ def problem_data(config: RunConfig):
         libsvm = Path(config.path) / "features.libsvm"
         if kind == "group-lasso" and "features" not in arrays and libsvm.exists():
             arrays["features"], arrays["labels"] = load_libsvm(
-                libsvm, num_features=groups_from_meta(meta).total)
+                libsvm, num_features=groups_from_meta(meta, config.path).total)
     elif kind == "lasso":
         m, n, d = config.sizes()
         A, b, lam = gen_lasso(m, n, d, seed, normalize=config.normalize)
@@ -159,7 +166,7 @@ def problem_data(config: RunConfig):
             seed, n_samples=config.gl_samples, active_fraction=config.gl_active,
             label_noise=config.gl_noise)
         arrays = {"features": features, "labels": labels}
-        meta = {"groups": list(groups.group_sizes), "seed": seed,
+        meta = {"groups": list(groups.block_sizes), "seed": seed,
                 "n_samples": config.gl_samples, "active_fraction": config.gl_active,
                 "label_noise": config.gl_noise, "lam": DEFAULT_GROUP_LASSO_LAM}
     if config.lam is not None:
@@ -188,21 +195,22 @@ def build_problem(config: RunConfig) -> ProblemBundle:
         b = vector("b")
         if "lam" not in meta:
             raise FormatError(f"{source}/meta.txt: no 'lam' key and no --lam")
-        lam = float(meta["lam"])
+        lam = meta_value(meta, "lam", positive_float, source)
         return ProblemBundle(make_lasso(A, b, lam), lasso_data=(A, b, lam))
     if kind == "rpca":
         B = _values(array("B"))
         if "mu2" in meta and "mu3" in meta:
-            mu2, mu3 = float(meta["mu2"]), float(meta["mu3"])
+            mu2, mu3 = (meta_value(meta, key, positive_float, source) for key in ("mu2", "mu3"))
         else:
             mu2, mu3 = rpca_default_penalties(B)
         return ProblemBundle(make_rpca(B, mu2, mu3))
     if kind == "group-lasso":
-        groups = groups_from_meta(meta)
+        groups = groups_from_meta(meta, source)
         if "features" not in arrays:
             raise ConfigError(f"{source}: no features.csv or features.libsvm")
         labels = vector("labels")
-        lam = float(meta.get("lam", DEFAULT_GROUP_LASSO_LAM))
+        lam = (meta_value(meta, "lam", positive_float, source) if "lam" in meta
+               else DEFAULT_GROUP_LASSO_LAM)
         return ProblemBundle(make_group_lasso_hinge(arrays["features"], labels, groups, lam))
     raise ConfigError(f"unknown problem kind {kind!r} in {source}")
 
@@ -342,34 +350,6 @@ def write_trace(path, config: RunConfig, trace) -> Path:
     return path
 
 
-def read_trace(path):
-    """Read back a trace file as (header dict, list of TraceRecord)."""
-    header = {}
-    records = []
-    columns = None
-    for raw in Path(path).read_text(encoding="ascii").splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            header[key.strip()] = value.strip()
-            continue
-        if columns is None:
-            columns = line.split(",")
-            continue
-        parts = line.split(",")
-        rec = dict(zip(columns, parts))
-        records.append(TraceRecord(
-            pass_index=int(rec["pass"]),
-            elapsed_ms=float(rec["elapsed_ms"]),
-            objective=float(rec["objective"]),
-            residual=float(rec["residual"]),
-            gap=float(rec["gap"]) if "gap" in rec else None,
-        ))
-    return header, records
-
-
 # ---------------------------------------------------------------------------
 # Comparisons
 # ---------------------------------------------------------------------------
@@ -461,10 +441,12 @@ def _parse_value(name: str, text: str):
         if text.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{name} expects true/false, got {text!r}")
-    if f.type in ("int", "int | None"):
-        return int(text)
-    if f.type in ("float", "float | None"):
-        return float(text)
+    for kind, parse in (("int", int), ("float", float)):
+        if f.type in (kind, f"{kind} | None"):
+            try:
+                return parse(text)
+            except ValueError:
+                raise ConfigError(f"{name} expects {kind}, got {text!r}") from None
     return text
 
 
@@ -487,7 +469,10 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        values[key] = _parse_value(key, value)
+        try:
+            values[key] = _parse_value(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .matrices import DenseMatrix
-from .problems import GroupSpec
+from .matrices import BlockPartition, DenseMatrix
 
 
 def load_matrix_csv(path) -> DenseMatrix:
@@ -54,14 +53,6 @@ def save_matrix_csv(path, matrix) -> None:
         for row in values:
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")
-
-
-def load_vector_csv(path) -> np.ndarray:
-    """Single-column CSV as a 1-d vector."""
-    matrix = load_matrix_csv(path)
-    if matrix.cols != 1:
-        raise FormatError(f"{path}: expected a single column, found {matrix.cols}")
-    return matrix.values[:, 0].copy()
 
 
 def load_libsvm(path, num_features: int | None = None):
@@ -164,8 +155,27 @@ def load_problem_dir(path):
     return kind, arrays, meta
 
 
-def groups_from_meta(meta: dict) -> GroupSpec:
-    if "groups" not in meta:
-        raise FormatError("meta.txt has no 'groups' key (the group sizes)")
-    sizes = [int(s) for s in meta["groups"].split(",")]
-    return GroupSpec(sizes)
+def meta_value(meta: dict, key: str, parse, root):
+    """``parse`` of the text that ``<root>/meta.txt`` holds for ``key``; a
+    ``FormatError`` naming the file and the key when it is absent or does
+    not parse (``parse`` raises ValueError)."""
+    if key not in meta:
+        raise FormatError(f"{root}/meta.txt: no {key!r} key")
+    try:
+        return parse(meta[key])
+    except ValueError as exc:
+        raise FormatError(f"{root}/meta.txt: key {key!r}: {exc}") from None
+
+
+def positive_float(text: str) -> float:
+    """``text`` as a finite float > 0; ValueError otherwise."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
+def groups_from_meta(meta: dict, root) -> BlockPartition:
+    """The group sizes of ``meta.txt``'s ``groups`` key, comma-separated."""
+    return meta_value(meta, "groups",
+                      lambda text: BlockPartition(int(s) for s in text.split(",")), root)

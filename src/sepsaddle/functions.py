@@ -16,6 +16,7 @@ primal objective from the saddle function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +38,23 @@ def _scalar_metric(h) -> float:
     return float(np.max(h))
 
 
+def _check_weight(fn, positive: bool = False):
+    """A weight its prox can use: finite and >= 0, or > 0 where ``positive``."""
+    w = fn.weight
+    if not (math.isfinite(w) and (w > 0 if positive else w >= 0)):
+        need = "> 0" if positive else ">= 0"
+        raise ValueError(f"{type(fn).__name__} weight must be finite and {need}, got {w!r}")
+
+
 @dataclass(frozen=True)
 class L1Block:
     """f(x) = weight * ||x||_1."""
 
     weight: float
     separable = True
+
+    def __post_init__(self):
+        _check_weight(self)
 
     def value(self, x) -> float:
         return self.weight * float(np.abs(x).sum())
@@ -57,6 +69,9 @@ class GroupL2Block:
 
     weight: float
     separable = False
+
+    def __post_init__(self):
+        _check_weight(self, positive=True)  # its prox takes tau > 0
 
     def value(self, x) -> float:
         return self.weight * float(np.linalg.norm(x))
@@ -101,6 +116,9 @@ class NuclearBlock:
     cols: int
     separable = False
 
+    def __post_init__(self):
+        _check_weight(self)
+
     def _mat(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float).reshape(self.rows, self.cols)
 
@@ -127,7 +145,7 @@ def _prox_class(fn) -> tuple[int, float]:
         return _SOFT, 0.0  # soft threshold 0: the identity
     if kind is QuadraticBlock:
         return _QUADRATIC, 0.0
-    if kind is GroupL2Block and fn.weight > 0:  # its own prox rejects tau <= 0
+    if kind is GroupL2Block:
         return _GROUP, fn.weight
     return _OWN, 0.0
 

@@ -31,17 +31,7 @@ class DenseMatrix:
     """
 
     def __init__(self, data, order: str = "C"):
-        self._freeze(np.array(data, dtype=float, order=order))
-
-    @classmethod
-    def _adopt(cls, arr: np.ndarray) -> "DenseMatrix":
-        """Wrap a float64 array its builder owns and no longer writes,
-        without copying it; the same checks as the constructor."""
-        matrix = cls.__new__(cls)
-        matrix._freeze(arr)
-        return matrix
-
-    def _freeze(self, arr: np.ndarray):
+        arr = np.array(data, dtype=float, order=order)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:

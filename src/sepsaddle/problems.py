@@ -29,45 +29,16 @@ from .functions import (
     QuadraticBlock,
     QuadraticDual,
 )
-from .matrices import (  # noqa: F401  (StackColumns: re-exported from here)
+from .matrices import (
     BlockPartition,
     Coupling,
     DenseCoupling,
     DenseMatrix,
     IdentityStackCoupling,
     SparseCoupling,
-    StackColumns,
     column_major_nonzeros,
     spectral_norm_estimate,
 )
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """Group sizes d_g and the standard weights w_g = sqrt(d_g)."""
-
-    group_sizes: tuple
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.group_sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError("group sizes must be positive")
-        object.__setattr__(self, "group_sizes", sizes)
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.group_sizes)
-
-    @property
-    def total(self) -> int:
-        return sum(self.group_sizes)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.sqrt(np.asarray(self.group_sizes, dtype=float))
-
-    def partition(self) -> BlockPartition:
-        return BlockPartition(self.group_sizes)
 
 
 @dataclass(eq=False)
@@ -241,27 +212,19 @@ def make_rpca(B, mu2: float, mu3: float) -> SepCCSPInstance:
     )
 
 
-def rpca_split(instance: SepCCSPInstance, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three matrix components of a stacked iterate."""
-    rows, cols = instance.meta["shape"]
-    size = rows * cols
-    x = np.asarray(x)
-    return tuple(x[i * size:(i + 1) * size].reshape(rows, cols) for i in range(3))
-
-
-def gen_rpca(m: int, n: int, r: int, seed: int, sparse_fraction: float = 0.05,
-             noise_std: float = 1e-3, return_components: bool = False):
+def gen_rpca(m: int, n: int, r: int, seed: int, return_components: bool = False):
     """Observation B = L0 + S0 + N0: rank-r L0 = U V^T, a 5% sparse S0 with
-    symmetric Laplace spikes scaled to ||L0||_inf, and dense Gaussian noise."""
+    symmetric Laplace spikes scaled to ||L0||_inf, and dense Gaussian noise
+    of standard deviation 1e-3."""
     if not 1 <= r <= min(m, n):
         raise ValueError(f"need 1 <= r <= min(m, n), got r={r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     L0 = rng.standard_normal((m, r)) @ rng.standard_normal((n, r)).T
     S0 = np.zeros((m, n))
-    k = int(round(sparse_fraction * m * n))
+    k = int(round(0.05 * m * n))
     spots = rng.choice(m * n, size=k, replace=False)
     S0.flat[spots] = rng.laplace(0.0, float(np.abs(L0).max()), size=k)
-    N0 = rng.normal(0.0, noise_std, size=(m, n))
+    N0 = rng.normal(0.0, 1e-3, size=(m, n))
     B = L0 + S0 + N0
     if return_components:
         return B, (L0, S0, N0)
@@ -273,7 +236,10 @@ def gen_rpca(m: int, n: int, r: int, seed: int, sparse_fraction: float = 0.05,
 #   min_x lam * sum_g sqrt(d_g) ||x_g|| + (1/N) sum_i max(0, 1 - z_i a_i^T x)
 # ---------------------------------------------------------------------------
 
-def make_group_lasso_hinge(features, labels, groups: GroupSpec, lam: float) -> SepCCSPInstance:
+def make_group_lasso_hinge(features, labels, groups: BlockPartition,
+                           lam: float) -> SepCCSPInstance:
+    """Group g is block g of ``groups``, with weight lam * sqrt(d_g) for its
+    size d_g; the builder computes the weights once, here."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     F = features.values if isinstance(features, DenseMatrix) else np.asarray(features, dtype=float)
@@ -291,9 +257,9 @@ def make_group_lasso_hinge(features, labels, groups: GroupSpec, lam: float) -> S
     rows, cols = column_major_nonzeros(F)
     vals = z[rows] * F[rows, cols]
     np.divide(vals, -n_samples, out=vals)
-    coupling = SparseCoupling(rows, cols, vals, n_samples, groups.partition())
-    weights = lam * groups.weights
-    starts = np.asarray(coupling.partition.offsets[:-1])
+    coupling = SparseCoupling(rows, cols, vals, n_samples, groups)
+    weights = lam * np.sqrt(np.asarray(groups.block_sizes, dtype=float))
+    starts = np.asarray(groups.offsets[:-1])
 
     def objective(x):
         x = np.asarray(x, dtype=float)
@@ -317,7 +283,7 @@ _GL_POSITIONS = 7
 _GL_ALPHABET = 4
 
 
-def group_lasso_structure() -> GroupSpec:
+def group_lasso_structure() -> BlockPartition:
     """7 single-position groups of 4, 21 pair groups of 16, 35 triple groups
     of 64: one-hot encodings of a 7-position, 4-letter sequence and its
     pairwise/threeway interactions (2604 features in 63 groups)."""
@@ -326,11 +292,11 @@ def group_lasso_structure() -> GroupSpec:
         + [_GL_ALPHABET ** 2] * len(list(combinations(range(_GL_POSITIONS), 2)))
         + [_GL_ALPHABET ** 3] * len(list(combinations(range(_GL_POSITIONS), 3)))
     )
-    return GroupSpec(sizes)
+    return BlockPartition(sizes)
 
 
 def gen_group_lasso(seed: int, n_samples: int = 2000, active_fraction: float = 0.2,
-                    label_noise: float = 0.1, return_truth: bool = False):
+                    label_noise: float = 0.1):
     """Synthetic sequence-classification data with the 2604-dim/63-group
     interaction structure.
 
@@ -343,8 +309,8 @@ def gen_group_lasso(seed: int, n_samples: int = 2000, active_fraction: float = 0
     rng = np.random.Generator(np.random.PCG64(seed))
     Q, L = _GL_ALPHABET, _GL_POSITIONS
     seqs = rng.integers(0, Q, size=(n_samples, L))
-    spec = group_lasso_structure()
-    X = np.zeros((n_samples, spec.total))
+    groups = group_lasso_structure()
+    X = np.zeros((n_samples, groups.total))
     rows = np.arange(n_samples)
     col = 0
     for p in range(L):
@@ -356,17 +322,13 @@ def gen_group_lasso(seed: int, n_samples: int = 2000, active_fraction: float = 0
     for p, q, r in combinations(range(L), 3):
         X[rows, col + (seqs[:, p] * Q + seqs[:, q]) * Q + seqs[:, r]] = 1.0
         col += Q ** 3
-    offsets = spec.partition().offsets
-    num_active = max(1, int(round(active_fraction * spec.num_groups)))
-    active = rng.choice(spec.num_groups, size=num_active, replace=False)
-    x_true = np.zeros(spec.total)
+    num_active = max(1, int(round(active_fraction * groups.num_blocks)))
+    active = rng.choice(groups.num_blocks, size=num_active, replace=False)
+    x_true = np.zeros(groups.total)
     for g in active:
-        x_true[offsets[g]:offsets[g + 1]] = rng.standard_normal(spec.group_sizes[g])
+        x_true[groups.slice_of(g)] = rng.standard_normal(groups.block_sizes[g])
     score = X @ x_true
     score = score - score.mean()
     labels = np.sign(score + label_noise * rng.standard_normal(n_samples))
     labels[labels == 0] = 1.0
-    features = DenseMatrix(X)
-    if return_truth:
-        return features, labels, spec, x_true
-    return features, labels, spec
+    return DenseMatrix(X), labels, groups

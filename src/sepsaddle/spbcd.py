@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError, RunAborted
 
-FLOOR_EPS = 1e-10
+FLOOR_EPS = 1e-10  # floor of every primal and dual penalty
+RBAR_TOL = 1e-10  # largest relative r_bar drift a run accepts
 
 STEPSIZE_RULES = ("adaptive-l1", "block-spectral")
 
@@ -69,32 +70,32 @@ def initial_state(instance, x0=None, y0=None) -> SolverState:
 class StepsizeConfig:
     """Primal penalties h, extrapolation theta = K/J, and the dual rule.
 
-    ``sigma_override`` replaces the rule's sigma^t with a constant;
-    ``sigma_scale`` multiplies it (K/J reproduces the benchmark parameter
-    tables). Non-separable blocks get a block-uniform h (the block maximum),
-    which dominates the per-dimension values and preserves validity.
+    Every penalty is floored at ``FLOOR_EPS``. ``sigma_override`` replaces
+    the rule's sigma^t with a constant; ``sigma_scale`` multiplies it (K/J
+    reproduces the benchmark parameter tables). Non-separable blocks get a
+    block-uniform h (the block maximum), which dominates the per-dimension
+    values and preserves validity.
     """
 
     rule: str
     h: np.ndarray
-    theta: float
-    floor_eps: float
     K: int
     J: int
     sigma_override: float | None = None
     sigma_scale: float = 1.0
 
+    @property
+    def theta(self) -> float:
+        return self.K / self.J
+
     @classmethod
     def for_instance(cls, instance, K: int, rule: str = "adaptive-l1",
-                     floor_eps: float = FLOOR_EPS, sigma_override=None,
-                     sigma_scale: float = 1.0) -> "StepsizeConfig":
+                     sigma_override=None, sigma_scale: float = 1.0) -> "StepsizeConfig":
         J = instance.num_blocks
         if not 1 <= K <= J:
             raise ConfigError(f"need 1 <= K <= J={J}, got K={K}")
         if rule not in STEPSIZE_RULES:
             raise ConfigError(f"unknown stepsize rule {rule!r}; expected one of {STEPSIZE_RULES}")
-        if floor_eps <= 0:
-            raise ConfigError("floor_eps must be positive")
         if sigma_override is not None and sigma_override <= 0:
             raise ConfigError("sigma_override must be positive")
         if sigma_scale <= 0:
@@ -106,22 +107,22 @@ class StepsizeConfig:
         else:
             h = np.repeat(coupling.block_norms, coupling.partition.block_sizes)
 
-        below = h < floor_eps
-        h = lift_nonseparable(instance, np.maximum(h, floor_eps))
+        below = h < FLOOR_EPS
+        h = lift_nonseparable(instance, np.maximum(h, FLOOR_EPS))
 
         # warn only where the floor is still the penalty after that lift
-        floored = np.flatnonzero(below & (h == floor_eps))
+        floored = np.flatnonzero(below & (h == FLOOR_EPS))
         if floored.size:
             shown = ", ".join(map(str, floored[:10]))
             more = "" if floored.size <= 10 else f" (+{floored.size - 10} more)"
             warnings.warn(
-                f"primal penalty floored at {floor_eps:g} for coordinates [{shown}]{more}",
+                f"primal penalty floored at {FLOOR_EPS:g} for coordinates [{shown}]{more}",
                 RuntimeWarning,
                 stacklevel=2,
             )
 
-        return cls(rule=rule, h=h, theta=K / J, floor_eps=floor_eps, K=K, J=J,
-                   sigma_override=sigma_override, sigma_scale=sigma_scale)
+        return cls(rule=rule, h=h, K=K, J=J, sigma_override=sigma_override,
+                   sigma_scale=sigma_scale)
 
 
 def lift_nonseparable(instance, h: np.ndarray) -> np.ndarray:
@@ -141,8 +142,8 @@ def sample_blocks(rng: np.random.Generator, J: int, K: int) -> np.ndarray:
     return np.sort(rng.choice(J, size=K, replace=False))
 
 
-def compute_sigma_t(coupling, blocks, K: int, J: int, rule: str = "adaptive-l1",
-                    floor_eps: float = FLOOR_EPS, *, columns=None) -> np.ndarray:
+def compute_sigma_t(coupling, blocks, K: int, J: int, rule: str = "adaptive-l1", *,
+                    columns=None) -> np.ndarray:
     """Per-iteration dual penalties for the selected blocks.
 
     adaptive-l1:     sigma_k = (J/K) sum_{j in S} sum_{d in block j} |A_kd|
@@ -159,16 +160,16 @@ def compute_sigma_t(coupling, blocks, K: int, J: int, rule: str = "adaptive-l1",
         sigma = np.full(coupling.m, (J / K) * sum(norms[j] for j in blocks))
     else:
         raise ConfigError(f"unknown stepsize rule {rule!r}")
-    return np.maximum(sigma, floor_eps)
+    return np.maximum(sigma, FLOOR_EPS)
 
 
 def _sigma_for(instance, blocks, config: StepsizeConfig, columns=None) -> np.ndarray:
     if config.sigma_override is not None:
-        return np.full(instance.m, max(config.sigma_override, config.floor_eps))
+        return np.full(instance.m, max(config.sigma_override, FLOOR_EPS))
     sigma = compute_sigma_t(instance.coupling, blocks, config.K, config.J,
-                            config.rule, config.floor_eps, columns=columns)
+                            config.rule, columns=columns)
     if config.sigma_scale != 1.0:
-        sigma = np.maximum(sigma * config.sigma_scale, config.floor_eps)
+        sigma = np.maximum(sigma * config.sigma_scale, FLOOR_EPS)
     return sigma
 
 
@@ -252,15 +253,16 @@ def timed_passes(step, state, passes: int, metric_callback=None):
 
 def run(instance, config: StepsizeConfig, pass_budget: int, metric_callback=None, *,
         seed: int = 0, workers: int = 1, x0=None, y0=None,
-        rbar_check_interval: int = 2000, rbar_tol: float = 1e-10):
+        rbar_check_interval: int = 2000):
     """Run ``pass_budget`` passes through ``timed_passes``; returns (final
     state, trace).
 
     ``metric_callback(pass_index, state, solver_seconds)`` is invoked once per
     pass with the cumulative solver-only wall time (callback time excluded);
-    its return values form the trace. Callback or numeric failures raise
-    ``RunAborted`` carrying the partial trace. The PCG64 generator seeded
-    here is the only randomness in the run.
+    its return values form the trace. Callback or numeric failures, and an
+    r_bar drift above ``RBAR_TOL`` at a check, raise ``RunAborted`` carrying
+    the partial trace. The PCG64 generator seeded here is the only randomness
+    in the run.
 
     ``workers`` must be >= 1 and selects no code path: every iteration runs
     on the calling thread. A two-worker pool over the unbatched (nuclear)
@@ -279,9 +281,9 @@ def run(instance, config: StepsizeConfig, pass_budget: int, metric_callback=None
             iterate(instance, state, config, rng)
             if state.t % rbar_check_interval == 0:
                 drift = rbar_drift(instance, state)
-                if drift > rbar_tol:
+                if drift > RBAR_TOL:
                     raise NumericsError(
-                        f"r_bar cache drift {drift:.3e} exceeds {rbar_tol:g} "
+                        f"r_bar cache drift {drift:.3e} exceeds {RBAR_TOL:g} "
                         f"at iteration {state.t}"
                     )
         return state

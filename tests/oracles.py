@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import fista_reference, preconditioned_reference
-from .errors import ConvergenceError
-from .functions import BoxLinearDual, LinearDual, QuadraticDual
-from .matrices import BlockPartition, DenseMatrix
+from sepsaddle.baselines import fista_reference, preconditioned_reference
+from sepsaddle.errors import ConvergenceError
+from sepsaddle.functions import BoxLinearDual, LinearDual, QuadraticDual
+from sepsaddle.matrices import BlockPartition, DenseMatrix
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 

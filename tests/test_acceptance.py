@@ -45,7 +45,7 @@ from sepsaddle.spbcd import (
     run,
     sample_blocks,
 )
-from sepsaddle.verify import (
+from oracles import (
     compute_M0,
     p_matrix_min_eig,
     prox_oracle,

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,10 @@ from sepsaddle import bench
 from sepsaddle.bench import (
     SOLVERS,
     RunConfig,
+    TraceRecord,
     compare,
     config_from_sources,
     parse_config_file,
-    read_trace,
     run_experiment,
     write_trace,
 )
@@ -25,6 +27,34 @@ TINY_FLAGS = {
     "rpca": ["--m", "6", "--n", "8", "--r", "2"],
     "group-lasso": ["--gl-samples", "30", "--lam", "0.05"],
 }
+
+
+def read_trace(path):
+    """Read back a trace file as (header dict, list of TraceRecord)."""
+    header = {}
+    records = []
+    columns = None
+    for raw in Path(path).read_text(encoding="ascii").splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            header[key.strip()] = value.strip()
+            continue
+        if columns is None:
+            columns = line.split(",")
+            continue
+        parts = line.split(",")
+        rec = dict(zip(columns, parts))
+        records.append(TraceRecord(
+            pass_index=int(rec["pass"]),
+            elapsed_ms=float(rec["elapsed_ms"]),
+            objective=float(rec["objective"]),
+            residual=float(rec["residual"]),
+            gap=float(rec["gap"]) if "gap" in rec else None,
+        ))
+    return header, records
 
 
 def trace_rows(path):
@@ -271,6 +301,15 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key", [
+        ("passes = abc", "passes"), ("K = 2.5", "K"), ("sigma_scale = x", "sigma_scale")])
+    def test_bad_config_value_names_line_and_key(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\nproblem = lasso\n{line}\n")
+        assert main(["run", "--config", str(cfg), *TINY_FLAGS["lasso"]]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:3: {key} expects" in err and "Traceback" not in err
+
     def test_generate_then_run_file(self, tmp_path, capsys):
         problem_dir = tmp_path / "prob"
         assert main(["generate", "--problem", "lasso", "--m", "8", "--n", "12",
@@ -486,6 +525,27 @@ class TestMalformedProblemDir:
         code, err = self.run_dir(root, capsys, solver="pdcp")
         assert code == 2
         assert "labels.csv" in err
+
+    @pytest.mark.parametrize("problem, line, key", [
+        ("lasso", "lam = abc", "lam"), ("lasso", "lam = 0", "lam"),
+        ("rpca", "mu2 = abc", "mu2"), ("rpca", "mu3 = nan", "mu3"),
+        ("group-lasso", "groups = 1,,2", "groups"), ("group-lasso", "groups = 0,3", "groups"),
+        ("group-lasso", "lam = -1", "lam")])
+    def test_bad_meta_value_names_file_and_key(self, tmp_path, capsys, problem, line, key):
+        if problem == "group-lasso":
+            root = tmp_path / "gl"
+            root.mkdir()
+            (root / "meta.txt").write_text("groups = 1,2\nlam = 0.1\nproblem = group-lasso\n")
+            (root / "features.csv").write_text("1.0,0.0,0.5\n0.0,0.7,0.0\n")
+            (root / "labels.csv").write_text("1.0\n-1.0\n")
+        else:
+            root = self.generate(tmp_path, problem)
+        self.drop_meta_key(root, key)
+        with open(root / "meta.txt", "a") as fh:
+            fh.write(line + "\n")
+        code, err = self.run_dir(root, capsys, solver="pdcp")
+        assert code == 2
+        assert f"{root}/meta.txt" in err and f"'{key}'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("cell, problem", [
         ("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "non-finite"),

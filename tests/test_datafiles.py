@@ -6,7 +6,6 @@ from sepsaddle.datafiles import (
     load_libsvm,
     load_matrix_csv,
     load_problem_dir,
-    load_vector_csv,
     read_meta,
     save_matrix_csv,
     save_problem_dir,
@@ -51,7 +50,7 @@ class TestMatrixCsv:
     def test_vector(self, tmp_path):
         p = tmp_path / "v.csv"
         save_matrix_csv(p, np.array([1.5, -2.0]))
-        assert np.array_equal(load_vector_csv(p), [1.5, -2.0])
+        assert np.array_equal(load_matrix_csv(p).values[:, 0], [1.5, -2.0])
 
 
 class TestLibsvm:
@@ -93,7 +92,7 @@ class TestMeta:
         write_meta(p, {"seed": 7, "lam": 0.25, "groups": [4, 16]})
         meta = read_meta(p)
         assert meta == {"seed": "7", "lam": "0.25", "groups": "4,16"}
-        assert groups_from_meta(meta).group_sizes == (4, 16)
+        assert groups_from_meta(meta, tmp_path).block_sizes == (4, 16)
 
     def test_malformed(self, tmp_path):
         p = tmp_path / "meta.txt"

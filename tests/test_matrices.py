@@ -70,16 +70,6 @@ class TestDenseMatrix:
         assert (M.rows, M.cols) == (3, 4)
         assert M.shape == (3, 4)
 
-    def test_adopt_keeps_the_array_and_freezes_it(self):
-        arr = np.asfortranarray(np.arange(6.0).reshape(2, 3))
-        M = DenseMatrix._adopt(arr)
-        assert M.values is arr
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="finite"):
-            DenseMatrix._adopt(np.array([[1.0, np.nan]]))
-        with pytest.raises(ValueError):
-            DenseMatrix._adopt(np.zeros(3))
-
 
 class TestBlockPartition:
     def test_offsets_are_prefix_sums(self):

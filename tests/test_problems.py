@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from sepsaddle.baselines import fista_reference, preconditioned_reference
+from sepsaddle.matrices import BlockPartition
 from sepsaddle.problems import (
-    GroupSpec,
     IdentityStackCoupling,
     gen_group_lasso,
     gen_lasso,
@@ -16,7 +16,6 @@ from sepsaddle.problems import (
     make_lasso,
     make_rpca,
     rpca_default_penalties,
-    rpca_split,
 )
 
 
@@ -144,7 +143,7 @@ class TestRpca:
         B = rng.standard_normal((4, 5))
         inst = make_rpca(B, 0.2, 0.3)
         x = rng.standard_normal(inst.n)
-        X1, X2, X3 = rpca_split(inst, x)
+        X1, X2, X3 = x.reshape(3, *inst.meta["shape"])
         expected = (0.5 * np.sum(X1 ** 2) + 0.2 * np.abs(X2).sum()
                     + 0.3 * np.linalg.svd(X3, compute_uv=False).sum())
         assert inst.objective(x) == pytest.approx(expected, rel=1e-12)
@@ -170,32 +169,33 @@ class TestGenRpca:
             gen_rpca(10, 12, 11, seed=0)
 
 
-class TestGroupSpec:
+class TestGroups:
     def test_weights_are_sqrt_sizes(self):
-        spec = GroupSpec([4, 16, 64])
-        assert np.allclose(spec.weights, [2.0, 4.0, 8.0])
-        assert spec.total == 84
+        features = np.eye(84)[:2]
+        inst = make_group_lasso_hinge(features, [1.0, -1.0], BlockPartition([4, 16, 64]), 1.0)
+        assert np.allclose([fn.weight for fn in inst.block_fns], [2.0, 4.0, 8.0])
+        assert inst.n == 84
 
     def test_structure_constants(self):
         spec = group_lasso_structure()
-        assert spec.num_groups == 63
+        assert spec.num_blocks == 63
         assert spec.total == 2604
-        assert sorted(set(spec.group_sizes)) == [4, 16, 64]
-        assert [spec.group_sizes.count(s) for s in (4, 16, 64)] == [7, 21, 35]
+        assert sorted(set(spec.block_sizes)) == [4, 16, 64]
+        assert [spec.block_sizes.count(s) for s in (4, 16, 64)] == [7, 21, 35]
 
 
 class TestGenGroupLasso:
     def test_dimensions(self):
         features, labels, spec = gen_group_lasso(seed=5, n_samples=200)
         assert features.shape == (200, 2604)
-        assert spec.total == 2604 and spec.num_groups == 63
+        assert spec.total == 2604 and spec.num_blocks == 63
         assert set(np.unique(labels)) <= {-1.0, 1.0}
 
     def test_one_hot_rows(self):
         features, _, spec = gen_group_lasso(seed=3, n_samples=50)
         # every sample activates exactly one indicator per group
-        offsets = spec.partition().offsets
-        for g in range(spec.num_groups):
+        offsets = spec.offsets
+        for g in range(spec.num_blocks):
             block = features.values[:, offsets[g]:offsets[g + 1]]
             assert np.array_equal(block.sum(axis=1), np.ones(50))
 
@@ -249,7 +249,7 @@ class TestMakeGroupLassoHinge:
         for _ in range(3):
             x = rng.standard_normal(inst.n)
             norms = [np.linalg.norm(x[inst.block_slice(j)]) for j in range(inst.num_blocks)]
-            direct = (0.05 * spec.weights @ norms
+            direct = (0.05 * np.sqrt(spec.block_sizes) @ norms
                       + np.maximum(0.0, 1.0 - labels * (F @ x)).mean())
             assert inst.objective(x) == pytest.approx(direct, rel=1e-12)
         features_ref = weakref.ref(F)
@@ -285,7 +285,7 @@ class TestMakeGroupLassoHinge:
         # grid corners, so exhaustion is exact)
         features = np.array([[1.0, 0.5], [-0.5, 1.0]])
         labels = np.array([1.0, -1.0])
-        spec = GroupSpec([1, 1])
+        spec = BlockPartition([1, 1])
         lam = 0.3
         inst = make_group_lasso_hinge(features, labels, spec, lam)
 

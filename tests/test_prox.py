@@ -14,7 +14,7 @@ from sepsaddle.prox import (
     prox_nuclear,
     prox_quadratic_frobenius,
 )
-from sepsaddle.verify import prox_oracle, resolvent_oracle
+from oracles import prox_oracle, resolvent_oracle
 
 
 def batched_perturbation_min(objective_batch, x, rng, num=1000, scale=1e-3):

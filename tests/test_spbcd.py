@@ -27,7 +27,6 @@ from sepsaddle.matrices import (
     column_major_nonzeros,
 )
 from sepsaddle.problems import (
-    GroupSpec,
     SepCCSPInstance,
     gen_group_lasso,
     gen_lasso,
@@ -51,7 +50,7 @@ from sepsaddle.spbcd import (
     sample_blocks,
     timed_passes,
 )
-from sepsaddle.verify import prox_oracle, resolvent_oracle
+from oracles import prox_oracle, resolvent_oracle
 
 
 def hand_instance():
@@ -198,13 +197,13 @@ class TestStepsizeConfig:
     def test_all_zero_group_still_warns(self):
         features = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         labels = np.array([1.0, -1.0])
-        inst = make_group_lasso_hinge(features, labels, GroupSpec((1, 2)), 0.1)
+        inst = make_group_lasso_hinge(features, labels, BlockPartition((1, 2)), 0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             config = StepsizeConfig.for_instance(inst, K=1)
         assert config.h[1] == 0.5 and config.h[2] == 0.5
         features[1, 1] = 0.0
-        inst = make_group_lasso_hinge(features, labels, GroupSpec((1, 2)), 0.1)
+        inst = make_group_lasso_hinge(features, labels, BlockPartition((1, 2)), 0.1)
         with pytest.warns(RuntimeWarning, match=r"coordinates \[1, 2\]$"):
             config = StepsizeConfig.for_instance(inst, K=1)
         assert np.all(config.h[1:] == 1e-10)
@@ -563,7 +562,7 @@ def property_instance(kind, gen):
         A, b, lam = gen_lasso(6, 9, 3, seed=int(gen.integers(1 << 30)))
         return make_lasso(A, b, lam)
     if kind == "group-lasso":
-        spec = GroupSpec((3, 1, 4, 2))
+        spec = BlockPartition((3, 1, 4, 2))
         features = gen.standard_normal((7, spec.total))
         labels = np.where(gen.standard_normal(7) > 0, 1.0, -1.0)
         return make_group_lasso_hinge(features, labels, spec, 0.05)

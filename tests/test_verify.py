@@ -11,7 +11,7 @@ from sepsaddle.problems import (
     make_rpca,
 )
 from sepsaddle.spbcd import StepsizeConfig, compute_sigma_t, initial_state, iterate
-from sepsaddle.verify import (
+from oracles import (
     compute_M0,
     golden_section,
     p_matrix_min_eig,
