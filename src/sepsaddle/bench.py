@@ -94,6 +94,7 @@ class RunConfig:
             raise ConfigError("passes must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        spbcd.check_sigma_settings(self.sigma_override, self.sigma_scale)
         if self.problem == "file" and not self.path:
             raise ConfigError("problem 'file' needs --path")
         if self.problem != "file" and self.path:

@@ -9,9 +9,8 @@ the stepsize validity matrix positive semidefinite.
 ``BlockProx`` takes the prox of a whole set of selected blocks with one
 call per function class, which is how the block engine uses these terms.
 
-A dual term exposes ``value(y)``, ``resolvent(y_prev, u, sigma)`` and the
-conjugate pair ``max_inner(u)`` / ``argmax_inner(u)`` used to evaluate the
-primal objective from the saddle function.
+A dual term exposes ``value(y)`` and ``resolvent(y_prev, u, sigma)``; each
+problem evaluates its primal objective directly, not through the conjugate.
 """
 
 from __future__ import annotations
@@ -133,6 +132,7 @@ class NuclearBlock:
 
 # Function classes of BlockProx; blocks of class _OWN call their own prox.
 _OWN, _SOFT, _QUADRATIC, _GROUP = range(4)
+_FIRST = np.zeros(1, dtype=np.intp)  # reduceat start of a single segment
 
 
 def _prox_class(fn) -> tuple[int, float]:
@@ -177,6 +177,8 @@ class BlockProx:
         (``matrices.block_coords``), and v, h and the result are ordered like
         ``index``.
         """
+        if self.single_class == _GROUP and len(blocks) == 1:
+            return self._one_group(v, h, blocks[0])
         blocks = np.asarray(blocks)
         sizes = self.sizes[blocks]
         if self.single_class not in (None, _OWN):
@@ -195,6 +197,14 @@ class BlockProx:
                 w = self.soft_weights[index][pos] if kind == _SOFT else None
                 x[pos] = self._batched(kind, v[pos], h[pos], w, blocks[ks], sizes[ks])
         return x
+
+    def _one_group(self, v, h, block) -> np.ndarray:
+        """``prox_group_l2_segments`` of one segment, bitwise: its norm by the
+        same ``np.add.reduceat`` (``np.add.reduce`` and ``v @ v`` add in
+        another order), then one scale, 0 when the group is shrunk away."""
+        tau = self.weights[block] / h.max()
+        norm = np.sqrt(np.add.reduceat(v * v, _FIRST)[0])
+        return v * (1.0 - tau / norm if norm > tau else 0.0)
 
     def _batched(self, kind, v, h, soft_weights, blocks, sizes) -> np.ndarray:
         if kind == _SOFT:
@@ -219,15 +229,6 @@ class LinearDual:
     def resolvent(self, y_prev, u, sigma) -> np.ndarray:
         return dual_resolvent_linear(y_prev, u, self.b, sigma)
 
-    def max_inner(self, u, tol: float = 1e-8) -> float:
-        """sup_y <y,u> - g*(y): zero when u = b, +inf otherwise."""
-        gap = float(np.linalg.norm(np.asarray(u) - self.b))
-        scale = 1.0 + float(np.linalg.norm(self.b))
-        return 0.0 if gap <= tol * scale else np.inf
-
-    def argmax_inner(self, u):
-        return None  # unbounded unless u = b; no canonical maximizer
-
 
 @dataclass(frozen=True, eq=False)
 class QuadraticDual:
@@ -241,13 +242,6 @@ class QuadraticDual:
 
     def resolvent(self, y_prev, u, sigma) -> np.ndarray:
         return dual_resolvent_quadratic(y_prev, u, self.b, sigma)
-
-    def max_inner(self, u) -> float:
-        r = np.asarray(u) - self.b
-        return 0.5 * float(r @ r)
-
-    def argmax_inner(self, u) -> np.ndarray:
-        return np.asarray(u, dtype=float) - self.b
 
 
 @dataclass(frozen=True)
@@ -266,9 +260,3 @@ class BoxLinearDual:
 
     def resolvent(self, y_prev, u, sigma) -> np.ndarray:
         return dual_resolvent_box_linear(y_prev, u, self.c, sigma)
-
-    def max_inner(self, u) -> float:
-        return float(np.maximum(np.asarray(u) - self.c, 0.0).sum())
-
-    def argmax_inner(self, u) -> np.ndarray:
-        return (np.asarray(u) > self.c).astype(float)

@@ -191,7 +191,8 @@ class Coupling:
 
     A subclass sets ``partition`` and ``m`` and supplies ``gather(blocks)``
     (the columns of sorted, distinct blocks, with ``index``, ``rmatvec``,
-    ``matvec`` and ``row_abs_sums``), ``matvec``, ``rmatvec``,
+    ``matvec`` and ``row_abs_sums``, each returning a new float64 array
+    that the caller may overwrite), ``matvec``, ``rmatvec``,
     ``col_abs_sums`` and ``spectral_norm``, and either ``block(j)`` (block j
     as a dense array) or its own ``block_norms``.
     """
@@ -300,16 +301,24 @@ class DenseCoupling(Coupling):
         return f"DenseCoupling({self.m}x{self.n}, J={self.num_blocks})"
 
 
+def _sum_by(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
+    """out[i] = sum of ``weights`` where ``index`` is i, for i < ``length``,
+    added in the order of ``index``: one ``np.bincount``, as float64 even
+    with no weights (where ``np.bincount`` returns int64)."""
+    return np.bincount(index, weights=weights, minlength=length).astype(float, copy=False)
+
+
 def column_major_nonzeros(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the nonzero entries of the 2-d array ``A``
     (NaN and inf count as nonzero), column by column, rows ascending in each.
 
     One row-major scan and a stable sort by column: a column-by-column scan
     of a C-order array is strided, and measured slower than the sort. The
-    scan is of the mask ``A != 0``, which ``np.nonzero`` walks faster than
-    the float array itself.
+    scan is ``np.flatnonzero`` of the mask ``A != 0``, split into rows and
+    columns by one ``np.divmod``; ``np.nonzero`` of the 2-d mask gives the
+    same indices, measured 4x slower.
     """
-    rows, cols = np.nonzero(A != 0)
+    rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[1])
     order = np.argsort(cols, kind="stable")
     return rows[order], cols[order]
 
@@ -331,15 +340,15 @@ class SparseColumns(NamedTuple):
 
     def rmatvec(self, y) -> np.ndarray:
         """A_S^T y."""
-        return np.bincount(self.cols, weights=self.vals * y[self.rows], minlength=self.width)
+        return _sum_by(self.cols, self.vals * y[self.rows], self.width)
 
     def matvec(self, v) -> np.ndarray:
         """A_S v, for v ordered like ``index``."""
-        return np.bincount(self.rows, weights=self.vals * v[self.cols], minlength=self.m)
+        return _sum_by(self.rows, self.vals * v[self.cols], self.m)
 
     def row_abs_sums(self) -> np.ndarray:
         """sum over d in S of |A_kd|, for every row k."""
-        return np.bincount(self.rows, weights=np.abs(self.vals), minlength=self.m)
+        return _sum_by(self.rows, np.abs(self.vals), self.m)
 
 
 class SparseCoupling(Coupling):
@@ -409,18 +418,16 @@ class SparseCoupling(Coupling):
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.bincount(self.nz_rows, weights=self.nz_values * x[self.nz_cols],
-                           minlength=self.m)
+        return _sum_by(self.nz_rows, self.nz_values * x[self.nz_cols], self.m)
 
     def rmatvec(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        return np.bincount(self.nz_cols, weights=self.nz_values * y[self.nz_rows],
-                           minlength=self.n)
+        return _sum_by(self.nz_cols, self.nz_values * y[self.nz_rows], self.n)
 
     @cached_property
     def col_abs_sums(self) -> np.ndarray:
         """Per-column sums of absolute entries: the adaptive primal penalty."""
-        out = np.bincount(self.nz_cols, weights=np.abs(self.nz_values), minlength=self.n)
+        out = _sum_by(self.nz_cols, np.abs(self.nz_values), self.n)
         out.setflags(write=False)
         return out
 

@@ -147,8 +147,7 @@ def make_lasso(A, b, lam: float) -> SepCCSPInstance:
     )
 
 
-def gen_lasso(m: int, n: int, d: int, seed: int, normalize: bool = True,
-              return_truth: bool = False):
+def gen_lasso(m: int, n: int, d: int, seed: int, normalize: bool = True):
     """Standard-normal design with a d-sparse planted solution.
 
     ``normalize=True`` scales columns to unit l2 norm. b = A x_true + eps with
@@ -165,10 +164,7 @@ def gen_lasso(m: int, n: int, d: int, seed: int, normalize: bool = True,
     x_true[support] = rng.standard_normal(d)
     b = A @ x_true + rng.normal(0.0, np.sqrt(1e-3), size=m)
     lam = 0.1 * float(np.abs(A.T @ b).max())
-    matrix = DenseMatrix(A)
-    if return_truth:
-        return matrix, b, lam, x_true
-    return matrix, b, lam
+    return DenseMatrix(A), b, lam
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +208,7 @@ def make_rpca(B, mu2: float, mu3: float) -> SepCCSPInstance:
     )
 
 
-def gen_rpca(m: int, n: int, r: int, seed: int, return_components: bool = False):
+def gen_rpca(m: int, n: int, r: int, seed: int):
     """Observation B = L0 + S0 + N0: rank-r L0 = U V^T, a 5% sparse S0 with
     symmetric Laplace spikes scaled to ||L0||_inf, and dense Gaussian noise
     of standard deviation 1e-3."""
@@ -225,10 +221,7 @@ def gen_rpca(m: int, n: int, r: int, seed: int, return_components: bool = False)
     spots = rng.choice(m * n, size=k, replace=False)
     S0.flat[spots] = rng.laplace(0.0, float(np.abs(L0).max()), size=k)
     N0 = rng.normal(0.0, 1e-3, size=(m, n))
-    B = L0 + S0 + N0
-    if return_components:
-        return B, (L0, S0, N0)
-    return B
+    return L0 + S0 + N0
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,8 @@ def dual_resolvent_quadratic(y_prev, u, b, sigma) -> np.ndarray:
 
 def dual_resolvent_box_linear(y_prev, u, c, sigma) -> np.ndarray:
     """Resolvent for g*(y) = c*sum(y) + indicator([0,1]^m):
-    clip(y_prev + (u - c)/sigma, 0, 1)."""
-    y_prev = np.asarray(y_prev, dtype=float)
-    return np.clip(y_prev + (np.asarray(u, dtype=float) - c) / sigma, 0.0, 1.0)
+    clip(y_prev + (u - c)/sigma, 0, 1), formed in one new array."""
+    out = np.subtract(u, c, dtype=float)
+    out /= sigma
+    out += y_prev
+    return out.clip(0.0, 1.0, out=out)

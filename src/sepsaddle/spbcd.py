@@ -13,6 +13,12 @@ product A_S^T y, one prox call per block-function class (``BlockProx``) and
 one product A_S (x_bar_S^new - x_bar_S^old). The adaptive dual penalties are
 summed from the same gathered columns.
 
+Every iteration first checks that the state is finite
+(``SolverState.validate``): one sum of the four squared norms, which is
+finite unless an entry is NaN or +-inf or the squares overflow; only then
+does an exact scan run, to name the vector or to let a large finite state
+pass.
+
 Determinism contract: sampling on the run thread, one fixed-order product.
 The engine runs on one thread; ``workers`` is validated and recorded but
 selects no code path, so traces are bit-identical for any worker count.
@@ -46,9 +52,24 @@ class SolverState:
     t: int = 0
 
     def validate(self):
+        """Raise ``NumericsError`` naming the first of x, x_bar, y and r_bar
+        that holds a NaN or an infinity.
+
+        Checks every entry of all four vectors. The sum of their squared
+        norms is finite unless an entry is NaN or +-inf or the squares
+        overflow (entries beyond ~1e154), so that one sum passes almost
+        every state; only a sum that is not finite pays the exact scan, which
+        then names the vector or, for a finite state, passes.
+        """
+        # np.vdot sets no floating-point flags, so an overflow does not warn,
+        # and Python floats add to inf silently
+        x, x_bar, y, r_bar = self.x, self.x_bar, self.y, self.r_bar
+        total = (float(np.vdot(x, x)) + float(np.vdot(x_bar, x_bar))
+                 + float(np.vdot(y, y)) + float(np.vdot(r_bar, r_bar)))
+        if math.isfinite(total):
+            return
         for name in ("x", "x_bar", "y", "r_bar"):
-            v = getattr(self, name)
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(getattr(self, name)).all():
                 raise NumericsError(f"non-finite values in {name} at iteration {self.t}")
 
 
@@ -96,10 +117,7 @@ class StepsizeConfig:
             raise ConfigError(f"need 1 <= K <= J={J}, got K={K}")
         if rule not in STEPSIZE_RULES:
             raise ConfigError(f"unknown stepsize rule {rule!r}; expected one of {STEPSIZE_RULES}")
-        if sigma_override is not None and sigma_override <= 0:
-            raise ConfigError("sigma_override must be positive")
-        if sigma_scale <= 0:
-            raise ConfigError("sigma_scale must be positive")
+        check_sigma_settings(sigma_override, sigma_scale)
 
         coupling = instance.coupling
         if rule == "adaptive-l1":
@@ -125,6 +143,16 @@ class StepsizeConfig:
                    sigma_scale=sigma_scale)
 
 
+def check_sigma_settings(sigma_override, sigma_scale) -> None:
+    """Refuse a ``sigma_override`` or ``sigma_scale`` that is not a positive,
+    finite number: NaN passes a ``<= 0`` test, and NaN or inf turn y non-finite
+    at the first dual step."""
+    if sigma_override is not None and not (math.isfinite(sigma_override) and sigma_override > 0):
+        raise ConfigError(f"sigma_override must be positive and finite, got {sigma_override!r}")
+    if not (math.isfinite(sigma_scale) and sigma_scale > 0):
+        raise ConfigError(f"sigma_scale must be positive and finite, got {sigma_scale!r}")
+
+
 def lift_nonseparable(instance, h: np.ndarray) -> np.ndarray:
     """Set h on each non-separable block to the block maximum, in place: their
     prox needs a uniform penalty, and the maximum preserves validity."""
@@ -139,7 +167,8 @@ def sample_blocks(rng: np.random.Generator, J: int, K: int) -> np.ndarray:
     """A uniformly random size-K subset of {0..J-1}, sorted ascending."""
     if not 1 <= K <= J:
         raise ValueError(f"need 1 <= K <= J={J}, got K={K}")
-    return np.sort(rng.choice(J, size=K, replace=False))
+    blocks = rng.choice(J, size=K, replace=False)
+    return blocks if K == 1 else np.sort(blocks)
 
 
 def compute_sigma_t(coupling, blocks, K: int, J: int, rule: str = "adaptive-l1", *,
@@ -151,16 +180,17 @@ def compute_sigma_t(coupling, blocks, K: int, J: int, rule: str = "adaptive-l1",
 
     ``columns`` is ``coupling.gather(blocks)`` when the caller already holds
     it; adaptive-l1 then sums those columns instead of gathering again.
+    Both rules scale and floor one new array in place.
     """
     if rule == "adaptive-l1":
-        rows = coupling.row_abs_sums(blocks) if columns is None else columns.row_abs_sums()
-        sigma = (J / K) * rows
+        sigma = coupling.row_abs_sums(blocks) if columns is None else columns.row_abs_sums()
+        sigma *= J / K
     elif rule == "block-spectral":
         norms = coupling.block_norms
         sigma = np.full(coupling.m, (J / K) * sum(norms[j] for j in blocks))
     else:
         raise ConfigError(f"unknown stepsize rule {rule!r}")
-    return np.maximum(sigma, FLOOR_EPS)
+    return np.maximum(sigma, FLOOR_EPS, out=sigma)
 
 
 def _sigma_for(instance, blocks, config: StepsizeConfig, columns=None) -> np.ndarray:
@@ -169,15 +199,16 @@ def _sigma_for(instance, blocks, config: StepsizeConfig, columns=None) -> np.nda
     sigma = compute_sigma_t(instance.coupling, blocks, config.K, config.J,
                             config.rule, columns=columns)
     if config.sigma_scale != 1.0:
-        sigma = np.maximum(sigma * config.sigma_scale, FLOOR_EPS)
+        sigma *= config.sigma_scale
+        np.maximum(sigma, FLOOR_EPS, out=sigma)
     return sigma
 
 
 def dual_step(instance, state: SolverState, blocks, sigma_t, delta_bar) -> np.ndarray:
     """One dual resolvent step at u = r_bar + (J/K) * delta_bar, where r_bar
     is the pre-update cache."""
-    amplify = instance.num_blocks / len(blocks)
-    u = state.r_bar + amplify * delta_bar
+    u = (instance.num_blocks / len(blocks)) * delta_bar
+    u += state.r_bar
     return instance.dual_fn.resolvent(state.y, u, sigma_t)
 
 

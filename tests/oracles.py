@@ -215,6 +215,64 @@ def resolvent_oracle(dual_fn, y_prev, u, sigma, domain=None) -> np.ndarray:
     return out
 
 
+def max_inner(dual_fn, u, tol: float = 1e-8) -> float:
+    """sup_y <y, u> - g*(y) of a dual term, from its closed form.
+
+    LinearDual: zero when u = b (to ``tol`` relative), +inf otherwise;
+    QuadraticDual: (1/2)||u - b||^2; BoxLinearDual: sum(max(u - c, 0)).
+    """
+    if isinstance(dual_fn, LinearDual):
+        gap = float(np.linalg.norm(np.asarray(u) - dual_fn.b))
+        scale = 1.0 + float(np.linalg.norm(dual_fn.b))
+        return 0.0 if gap <= tol * scale else np.inf
+    if isinstance(dual_fn, QuadraticDual):
+        r = np.asarray(u) - dual_fn.b
+        return 0.5 * float(r @ r)
+    if isinstance(dual_fn, BoxLinearDual):
+        return float(np.maximum(np.asarray(u) - dual_fn.c, 0.0).sum())
+    raise ValueError(f"no conjugate for {type(dual_fn).__name__}")
+
+
+def argmax_inner(dual_fn, u):
+    """A maximizer of <y, u> - g*(y); None for LinearDual, which is unbounded
+    unless u = b and then has no canonical maximizer."""
+    if isinstance(dual_fn, LinearDual):
+        return None
+    if isinstance(dual_fn, QuadraticDual):
+        return np.asarray(u, dtype=float) - dual_fn.b
+    if isinstance(dual_fn, BoxLinearDual):
+        return (np.asarray(u) > dual_fn.c).astype(float)
+    raise ValueError(f"no conjugate for {type(dual_fn).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# Planted components of the synthetic generators, replayed from their seeds
+# ---------------------------------------------------------------------------
+
+def lasso_truth(m: int, n: int, d: int, seed: int) -> np.ndarray:
+    """The planted x_true of ``problems.gen_lasso(m, n, d, seed)``: the
+    generator's draws replayed in its order (design, support, values)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rng.standard_normal((m, n))
+    x_true = np.zeros(n)
+    support = rng.choice(n, size=d, replace=False)
+    x_true[support] = rng.standard_normal(d)
+    return x_true
+
+
+def rpca_components(m: int, n: int, r: int, seed: int) -> tuple:
+    """(L0, S0, N0) of ``problems.gen_rpca(m, n, r, seed)``, whose sum is its
+    output: the generator's draws replayed in its order."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    L0 = rng.standard_normal((m, r)) @ rng.standard_normal((n, r)).T
+    S0 = np.zeros((m, n))
+    k = int(round(0.05 * m * n))
+    spots = rng.choice(m * n, size=k, replace=False)
+    S0.flat[spots] = rng.laplace(0.0, float(np.abs(L0).max()), size=k)
+    N0 = rng.normal(0.0, 1e-3, size=(m, n))
+    return L0, S0, N0
+
+
 # ---------------------------------------------------------------------------
 # Saddle-point machinery
 # ---------------------------------------------------------------------------
@@ -328,7 +386,7 @@ def reference_optimum(instance, tol: float = 1e-10, window: int = 50,
         A = instance.coupling.matrix.values
         x_star, _ = fista_reference(A, instance.dual_fn.b, instance.meta["lam"],
                                     tol=tol, window=window, max_passes=max_passes)
-        y_star = instance.dual_fn.argmax_inner(instance.coupling.matvec(x_star))
+        y_star = argmax_inner(instance.dual_fn, instance.coupling.matvec(x_star))
     elif isinstance(instance.dual_fn, (LinearDual, BoxLinearDual)):
         x_star, y_star = preconditioned_reference(instance, tol=tol, window=window,
                                                   max_passes=max_passes)

@@ -98,6 +98,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="problem 'rpca' has no lam"):
             RunConfig(problem="rpca", lam=1.0)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", ["sigma_override", "sigma_scale"])
+    def test_sigma_settings_must_be_positive_and_finite(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
+            tiny_lasso_config(**{key: value})
+
     def test_lasso_problem_key_includes_lam(self):
         assert tiny_lasso_config().problem_key() != tiny_lasso_config(lam=0.5).problem_key()
 
@@ -293,6 +299,16 @@ class TestCli:
             main(["run", "--problem", "lasso", "--solver", "sgd",
                   "--out", str(out)])
         assert excinfo.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--sigma-scale", "nan"), ("--sigma-override", "inf")])
+    def test_non_finite_sigma_flag_exits_2_without_trace(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "trace.csv"
+        code = main(["run", "--problem", "lasso", *TINY_FLAGS["lasso"], "--passes", "3",
+                     flag, value, "--out", str(out)])
+        assert code == 2
+        assert "positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_error_exits_2(self, tmp_path, capsys):

@@ -403,6 +403,20 @@ class TestSparseCoupling:
         assert np.array_equal(columns.matvec(np.array([5.0, 2.0])), [0.0, 6.0])
         assert np.array_equal(columns.row_abs_sums(), [0.0, 3.0])
 
+    def test_products_without_nonzeros_are_float64(self):
+        """np.bincount gives int64 when it has no weights; an all-zero block,
+        alone or in an all-zero matrix, still gives float64 zeros."""
+        for A in (np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), np.zeros((2, 3))):
+            coupling = sparse_coupling(A, BlockPartition([1, 2]))
+            columns = coupling.gather(np.array([1]))
+            outs = [columns.rmatvec(np.ones(2)), columns.matvec(np.ones(2)),
+                    columns.row_abs_sums(), coupling.row_abs_sums([1])]
+            if not A.any():
+                outs += [coupling.matvec(np.ones(3)), coupling.rmatvec(np.ones(2)),
+                         coupling.col_abs_sums]
+            for out in outs:
+                assert out.dtype == np.float64 and not out.any()
+
     def test_all_zero_matrix(self):
         coupling = sparse_coupling(np.zeros((3, 4)), BlockPartition([3, 1]))
         assert coupling.nz_values.size == 0

@@ -17,6 +17,7 @@ from sepsaddle.problems import (
     make_rpca,
     rpca_default_penalties,
 )
+from oracles import argmax_inner, lasso_truth, max_inner, rpca_components
 
 
 class TestGenLasso:
@@ -25,8 +26,11 @@ class TestGenLasso:
         assert np.allclose(np.linalg.norm(A.values, axis=0), 1.0, atol=1e-12)
 
     def test_truth_has_exactly_d_nonzeros(self):
-        _, _, _, x_true = gen_lasso(30, 60, 7, seed=5, return_truth=True)
+        A, b, _ = gen_lasso(30, 60, 7, seed=5)
+        x_true = lasso_truth(30, 60, 7, seed=5)
         assert np.count_nonzero(x_true) == 7
+        # b is A x_true plus noise of standard deviation sqrt(1e-3)
+        assert np.std(b - A.values @ x_true) < 0.1
 
     def test_lambda_recipe(self):
         A, b, lam = gen_lasso(40, 60, 10, seed=9)
@@ -153,11 +157,13 @@ class TestRpca:
 
 class TestGenRpca:
     def test_rank_exact(self):
-        _, (L0, _, _) = gen_rpca(30, 40, 5, seed=7, return_components=True)
+        L0, S0, N0 = rpca_components(30, 40, 5, seed=7)
+        assert np.array_equal(L0 + S0 + N0, gen_rpca(30, 40, 5, seed=7))
         assert np.linalg.matrix_rank(L0) == 5
 
     def test_sparse_fraction(self):
-        _, (_, S0, _) = gen_rpca(60, 80, 4, seed=1, return_components=True)
+        L0, S0, N0 = rpca_components(60, 80, 4, seed=1)
+        assert np.array_equal(L0 + S0 + N0, gen_rpca(60, 80, 4, seed=1))
         frac = np.count_nonzero(S0) / S0.size
         assert abs(frac - 0.05) <= 0.005
 
@@ -318,7 +324,7 @@ class TestSaddleConsistency:
         inst = small_lasso
         for _ in range(5):
             x = rng.standard_normal(inst.n)
-            y_hat = inst.dual_fn.argmax_inner(inst.coupling.matvec(x))
+            y_hat = argmax_inner(inst.dual_fn, inst.coupling.matvec(x))
             assert inst.lagrangian(x, y_hat) == pytest.approx(
                 inst.objective(x), rel=1e-10, abs=1e-10)
 
@@ -327,7 +333,7 @@ class TestSaddleConsistency:
         inst = make_group_lasso_hinge(features, labels, spec, 0.07)
         for _ in range(5):
             x = rng.standard_normal(inst.n) * 0.5
-            y_hat = inst.dual_fn.argmax_inner(inst.coupling.matvec(x))
+            y_hat = argmax_inner(inst.dual_fn, inst.coupling.matvec(x))
             assert inst.lagrangian(x, y_hat) == pytest.approx(
                 inst.objective(x), rel=1e-10, abs=1e-10)
 
@@ -345,5 +351,5 @@ class TestSaddleConsistency:
             # for every multiplier
             assert inst.lagrangian(x, y) == pytest.approx(
                 inst.objective(x), rel=1e-10, abs=1e-8)
-            assert inst.dual_fn.max_inner(inst.coupling.matvec(x)) == 0.0
-        assert inst.dual_fn.max_inner(inst.coupling.matvec(x) + 1.0) == np.inf
+            assert max_inner(inst.dual_fn, inst.coupling.matvec(x)) == 0.0
+        assert max_inner(inst.dual_fn, inst.coupling.matvec(x) + 1.0) == np.inf

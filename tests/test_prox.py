@@ -301,6 +301,24 @@ class TestDualResolventBoxLinear:
         ref = resolvent_oracle(BoxLinearDual(c), y, u, sigma)
         assert np.allclose(out, ref, atol=1e-8)
 
+    @given(st.integers(0, 10_000), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_the_clip_formula(self, seed, size):
+        """Formed in one array, the resolvent equals np.clip of the formula
+        bit for bit, at SIMD tail lengths and on signed zeros, NaN and inf."""
+        gen = np.random.Generator(np.random.PCG64(seed))
+        special = np.array([-0.0, 0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])
+        y = np.where(gen.uniform(size=size) < 0.3, gen.choice(special, size),
+                     gen.uniform(0, 1, size))
+        u = np.where(gen.uniform(size=size) < 0.3, gen.choice(special, size),
+                     gen.standard_normal(size) * 5)
+        c = gen.choice([0.0, -0.5, gen.standard_normal()])
+        sigma = gen.uniform(0.1, 2.0, size)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = np.clip(y + (u - c) / sigma, 0.0, 1.0)
+            got = dual_resolvent_box_linear(y, u, c, sigma)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_output_in_unit_box_exactly(self, seed):

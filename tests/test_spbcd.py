@@ -224,6 +224,13 @@ class TestStepsizeConfig:
         with pytest.raises(ConfigError):
             StepsizeConfig.for_instance(small_lasso, K=1, rule="spectral")
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("key", ["sigma_override", "sigma_scale"])
+    def test_rejects_sigma_settings_that_are_not_positive_and_finite(
+            self, small_lasso, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
+            StepsizeConfig.for_instance(small_lasso, K=1, **{key: value})
+
 
 class TestComputeSigmaT:
     def test_identity_stack_is_J(self, rng):
@@ -408,6 +415,49 @@ class TestIterate:
         state.x[0] = np.nan
         with pytest.raises(NumericsError, match="non-finite"):
             iterate(small_lasso, state, config, rng)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, "middle", -1])
+    @pytest.mark.parametrize("name", ["x", "x_bar", "y", "r_bar"])
+    def test_non_finite_entry_names_its_vector(self, small_lasso, rng, name, where, bad):
+        config = StepsizeConfig.for_instance(small_lasso, K=2)
+        state = initial_state(small_lasso)
+        state.t = 17
+        v = getattr(state, name)
+        v[v.size // 2 if where == "middle" else where] = bad
+        with pytest.raises(NumericsError, match=f"^non-finite values in {name} at iteration 17$"):
+            iterate(small_lasso, state, config, rng)
+
+    def test_finite_state_whose_squares_overflow_passes(self, small_lasso):
+        """Entries of 1e200 make the sum of squares inf; the exact scan then
+        finds every entry finite, and nothing warns."""
+        state = initial_state(small_lasso)
+        for name in ("x", "x_bar", "y", "r_bar"):
+            getattr(state, name)[:] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state.validate()
+        state.y[-1] = np.nan
+        with pytest.raises(NumericsError, match="non-finite values in y"):
+            state.validate()
+
+    def test_all_zero_block_gets_a_floored_float_sigma(self):
+        """A sparse block with no nonzero sums its rows to zeros, which the
+        sigma rule scales and floors in place."""
+        A = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        rows, cols = column_major_nonzeros(A)
+        coupling = SparseCoupling(rows, cols, A[rows, cols], 2, BlockPartition([1, 2]))
+        inst = SepCCSPInstance(coupling=coupling, block_fns=(L1Block(0.1), GroupL2Block(0.1)),
+                               dual_fn=BoxLinearDual(-0.5), primal_objective=lambda x: 0.0,
+                               residual_kind="suboptimality")
+        with pytest.warns(RuntimeWarning, match="floored"):
+            config = StepsizeConfig.for_instance(inst, K=1)
+        columns = coupling.gather(np.array([1]))
+        sigma = compute_sigma_t(coupling, [1], 1, 2, columns=columns)
+        assert sigma.dtype == np.float64 and np.array_equal(sigma, [1e-10, 1e-10])
+        state = initial_state(inst)
+        iterate(inst, state, config, Draws([[1]]))
+        assert state.t == 1 and np.array_equal(state.x, np.zeros(3))
 
     def test_full_selection_matches_preconditioned_twin(self, small_lasso):
         config = StepsizeConfig.for_instance(small_lasso, K=small_lasso.num_blocks)
