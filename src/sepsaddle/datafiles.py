@@ -56,9 +56,9 @@ def save_matrix_csv(path, matrix) -> None:
 
 
 def load_libsvm(path, num_features: int | None = None):
-    """``label idx:val ...`` lines with 1-based indices; absent entries are
-    zero. Returns (features, labels); width is ``num_features`` or the
-    largest index seen."""
+    """``label idx:val ...`` lines with 1-based indices, each at most once
+    per line; absent entries are zero. Returns (features, labels); width is
+    ``num_features`` or the largest index seen."""
     labels = []
     entries = []
     max_index = 0
@@ -84,6 +84,8 @@ def load_libsvm(path, num_features: int | None = None):
                     raise FormatError(f"indices are 1-based, got {idx}", line=lineno)
                 if not math.isfinite(val):
                     raise FormatError(f"non-finite value in {token!r}", line=lineno)
+                if idx in row:
+                    raise FormatError(f"feature index {idx} repeated", line=lineno)
                 row[idx] = val
                 max_index = max(max_index, idx)
             entries.append(row)

@@ -9,10 +9,11 @@ absolute sums of A_S), the full products, and the stepsize quantities
 (column absolute sums, block norms, spectral norm).
 ``DenseCoupling`` stores its matrix column-major, so a single block and any
 run of consecutive blocks are views and a scattered set of blocks is one
-gather of their columns; ``SparseCoupling`` stores only the nonzeros, column
-by column, and forms every product with ``np.bincount``;
-``IdentityStackCoupling`` is the implicit [I I ... I] of the low-rank +
-sparse problem.
+gather of their columns; ``SparseCoupling`` stores each block's nonzeros as
+slot rows of length m (ELLPACK, one row per nonzero a row of the block can
+hold), so a block's rows are views, A_S^T y is one ``np.bincount`` and A_S v
+and the row absolute sums add slot rows; ``IdentityStackCoupling`` is the
+implicit [I I ... I] of the low-rank + sparse problem.
 """
 
 from __future__ import annotations
@@ -97,19 +98,19 @@ class BlockPartition:
         return f"BlockPartition({list(self.block_sizes)})"
 
 
-def block_coords(offsets: np.ndarray, blocks, nonempty: bool = True):
+def block_coords(offsets: np.ndarray, blocks):
     """Coordinates covered by the sorted, distinct ``blocks`` of the partition
-    with prefix sums ``offsets``, in block order.
+    with prefix sums ``offsets``, in block order; every block covers at least
+    one coordinate.
 
     A slice when the blocks are consecutive (so indexing with it makes a
-    view), otherwise an index array. ``nonempty=False`` allows blocks that
-    cover nothing, as in the per-block nonzero offsets of a sparse store.
+    view), otherwise an index array.
     """
     blocks = np.asarray(blocks)
     first, last = int(blocks[0]), int(blocks[-1])
     if last - first == blocks.size - 1:
         return slice(int(offsets[first]), int(offsets[last + 1]))
-    if nonempty and offsets[-1] == offsets.size - 1:  # every block is one coordinate
+    if offsets[-1] == offsets.size - 1:  # every block is one coordinate
         return blocks
     starts = offsets[blocks]
     sizes = offsets[blocks + 1] - starts
@@ -217,10 +218,15 @@ class Coupling:
 
     @cached_property
     def block_norms(self) -> tuple[float, ...]:
-        return tuple(
-            spectral_norm_estimate(self.block(j), tol=1e-10, max_iters=5000).value
-            for j in range(self.num_blocks)
-        )
+        """||A_j||_2 of every block: the square root of the largest
+        eigenvalue of the block's smaller Gram matrix (power iteration can
+        stop below the norm, and the block-spectral rule needs no less)."""
+        return tuple(_gram_norm(self.block(j)) for j in range(self.num_blocks))
+
+
+def _gram_norm(B: np.ndarray) -> float:
+    G = B.T @ B if B.shape[1] <= B.shape[0] else B @ B.T
+    return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
 
 
 class DenseColumns:
@@ -308,126 +314,176 @@ def _sum_by(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
     return np.bincount(index, weights=weights, minlength=length).astype(float, copy=False)
 
 
-def column_major_nonzeros(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the nonzero entries of the 2-d array ``A``
-    (NaN and inf count as nonzero), column by column, rows ascending in each.
+def _add_slot_rows(a: np.ndarray) -> np.ndarray:
+    """The sum of the rows of the C-contiguous (W, m) array ``a``, added row
+    by row from 0.0, as ``np.bincount`` adds: so no sum is -0.0, and a zero
+    padding term of either sign changes no finite sum.
 
-    One row-major scan and a stable sort by column: a column-by-column scan
-    of a C-order array is strided, and measured slower than the sort. The
-    scan is ``np.flatnonzero`` of the mask ``A != 0``, split into rows and
-    columns by one ``np.divmod``; ``np.nonzero`` of the 2-d mask gives the
-    same indices, measured 4x slower.
+    numpy reduces the outer axis of a C-contiguous array row by row; a
+    single column it would add pairwise, so one column is that bincount. One
+    row is the same single addition, without the reduction's set-up.
     """
-    rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[1])
-    order = np.argsort(cols, kind="stable")
-    return rows[order], cols[order]
+    if a.shape[0] == 1:
+        return a[0] + 0.0
+    if a.shape[1] == 1:
+        return _sum_by(np.zeros(a.shape[0], dtype=np.intp), a[:, 0], 1)
+    return np.add.reduce(a, axis=0, initial=0.0)
 
 
 class SparseColumns(NamedTuple):
-    """The nonzeros of the columns A_S of a set S of blocks, gathered once for
-    both products and the dual stepsize rule: their rows, their positions
-    among S's coordinates (``width`` of them), and their values.
+    """The slot rows of the columns A_S of a set S of blocks, gathered once
+    for both products and the dual stepsize rule: (W, m) arrays of column
+    positions among S's coordinates (``width`` of them), of values and of
+    absolute values, one row per slot row of S's blocks, in block order.
 
     ``index`` selects S's coordinates of a primal vector, in block order.
     """
 
     index: object
-    rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    abs_vals: np.ndarray
     width: int
-    m: int
 
     def rmatvec(self, y) -> np.ndarray:
         """A_S^T y."""
-        return _sum_by(self.cols, self.vals * y[self.rows], self.width)
+        return _sum_by(self.cols.ravel(), (self.vals * y).ravel(), self.width)
 
     def matvec(self, v) -> np.ndarray:
         """A_S v, for v ordered like ``index``."""
-        return _sum_by(self.rows, self.vals * v[self.cols], self.m)
+        return _add_slot_rows(self.vals * v[self.cols])
 
     def row_abs_sums(self) -> np.ndarray:
         """sum over d in S of |A_kd|, for every row k."""
-        return _sum_by(self.rows, np.abs(self.vals), self.m)
+        return _add_slot_rows(self.abs_vals)
+
+
+def _slot_positions(rows: np.ndarray, cols: np.ndarray, partition: BlockPartition, m: int):
+    """Where the nonzeros with ``rows`` and ``cols``, listed row by row with
+    columns ascending in each row, go in the slot rows: each one's flat
+    position s m + k in the (W, m) store, and the slot-row offsets of the
+    blocks (the prefix sums of the widths w_j >= 1).
+
+    In that order the (row, block) keys never decrease, so the nonzeros of
+    one row in one block form one run, in column order, and a nonzero's slot
+    within its block is its rank in its run: no sort is needed.
+    """
+    block = np.repeat(np.arange(partition.num_blocks), partition.block_sizes)[cols]
+    key = rows * partition.num_blocks
+    key += block
+    at = np.arange(key.size)
+    run_first = np.empty(key.size, dtype=bool)
+    run_first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=run_first[1:])
+    first = np.where(run_first, at, 0)
+    np.maximum.accumulate(first, out=first)
+    at -= first  # the rank in the run
+    widths = np.zeros(partition.num_blocks, dtype=np.intp)
+    np.maximum.at(widths, block, at)
+    widths += 1
+    slot_offsets = np.concatenate(([0], np.cumsum(widths)))
+    at += slot_offsets[block]
+    at *= m
+    at += rows
+    return at, slot_offsets
 
 
 class SparseCoupling(Coupling):
-    """Column-block view of a sparse coupling matrix: its nonzeros stored
-    column by column, as row indices, column ids and values, with the offset
-    of each block's first nonzero.
+    """Column-block view of a sparse coupling matrix, stored as slot rows:
+    the ELLPACK layout (Bell & Garland, SC 2009), taken block by block.
 
-    ``rows``, ``cols`` and ``vals`` list the nonzeros with ``cols`` sorted
-    (``column_major_nonzeros`` gives that order); they are copied. For a
-    single block or a run of consecutive blocks, gather takes views of the
-    stored rows and values; for a scattered set, one gather of their
-    nonzeros. Every product is one
-    ``np.bincount``, which adds in a fixed order. Caches the derived stepsize
+    Block j owns w_j slot rows, where w_j is its largest nonzero count in any
+    row (at least 1). Slot row s of block j holds, for every row k, the s-th
+    nonzero of row k in block j, in column order: its column id within the
+    block (``local_cols``), its global column id (``cols``), its value
+    (``vals``) and its absolute value (``abs_vals``), all (W, m) arrays over
+    the W slot rows. A row with fewer nonzeros is padded with value 0 at the
+    block's first column. ``slot_offsets`` are the prefix sums of the w_j.
+
+    Built from the nonzeros listed row by row, columns ascending in each row
+    (the order of a row-major ``np.flatnonzero`` scan); in that order every
+    (row, block) run is contiguous and in column order, so the build sorts
+    nothing. For a single block, or a run of consecutive blocks, gather takes
+    views of the slot rows; for a scattered set, one gather of them. A_S^T y
+    is one ``np.bincount``; A_S v and the row sums add slot rows, in the
+    order ``np.bincount`` would add them. Caches the derived stepsize
     quantities like ``DenseCoupling``. Immutable.
     """
 
     def __init__(self, rows, cols, vals, m: int, partition: BlockPartition):
-        rows = np.array(rows, dtype=np.intp)
-        cols = np.array(cols, dtype=np.intp)
-        vals = np.array(vals, dtype=float)
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        vals = np.asarray(vals, dtype=float)
         if not rows.ndim == cols.ndim == vals.ndim == 1 or not rows.size == cols.size == vals.size:
             raise ValueError("rows, cols and vals must be 1-d arrays of one length")
         if m < 1:
             raise ValueError(f"matrix must have at least one row, got m={m}")
+        n = partition.total
         if rows.size:
             if rows.min() < 0 or rows.max() >= m:
                 raise ValueError(f"row indices must lie in [0, {m})")
-            if cols[0] < 0 or cols[-1] >= partition.total or np.any(cols[1:] < cols[:-1]):
-                raise ValueError(f"column ids must be sorted and lie in [0, {partition.total})")
+            if cols.min() < 0 or cols.max() >= n:
+                raise ValueError(f"column ids must lie in [0, {n})")
+            if np.any(np.diff(rows * n + cols) <= 0):
+                raise ValueError("nonzeros must be sorted by row, then by column, each once")
         if not np.all(np.isfinite(vals)):
             raise ValueError("matrix entries must be finite")
-        for arr in (rows, cols, vals):
+
+        at, slot_offsets = _slot_positions(rows, cols, partition, m)
+        shape = (int(slot_offsets[-1]), int(m))
+        starts = np.repeat(partition.offset_array[:-1], np.diff(slot_offsets))[:, None]
+        self.cols = np.empty(shape, dtype=np.intp)
+        self.cols[:] = starts  # padding: the block's first column
+        self.cols.ravel()[at] = cols
+        self.local_cols = self.cols - starts
+        self.vals = np.zeros(shape)
+        self.vals.ravel()[at] = vals
+        self.abs_vals = np.abs(self.vals)
+        self.slot_offsets = slot_offsets
+        for arr in (self.vals, self.local_cols, self.cols, self.abs_vals, self.slot_offsets):
             arr.setflags(write=False)
-        self.nz_rows, self.nz_cols, self.nz_values = rows, cols, vals
         self.partition = partition
         self.m = int(m)
-        self._block_nz = np.searchsorted(cols, partition.offset_array)
-        self._block_nz.setflags(write=False)
 
     def block(self, j: int) -> np.ndarray:
         """Block j as a dense, column-major m x n_j array."""
         sl = self.partition.slice_of(j)
-        nz = slice(self._block_nz[j], self._block_nz[j + 1])
         out = np.zeros((self.m, sl.stop - sl.start), order="F")
-        out[self.nz_rows[nz], self.nz_cols[nz] - sl.start] = self.nz_values[nz]
+        k = np.arange(self.m)
+        slots = slice(self.slot_offsets[j], self.slot_offsets[j + 1])
+        for cols, vals in zip(self.local_cols[slots], self.vals[slots]):
+            out[k, cols] += vals  # padding adds 0
         return out
 
     def gather(self, blocks) -> SparseColumns:
-        """The nonzeros of A_S for the sorted, distinct ``blocks``: views of
-        the rows and values when they are consecutive, otherwise one gather."""
+        """The slot rows of A_S for the sorted, distinct ``blocks``: views
+        when they are consecutive, otherwise one gather. Column ids are local
+        to a single block; for several blocks, each block's position among
+        S's coordinates is added to them."""
         blocks = np.asarray(blocks)
-        offsets = self.partition.offset_array
-        index = block_coords(offsets, blocks)
-        nz = block_coords(self._block_nz, blocks, nonempty=False)
-        if isinstance(index, slice):
-            cols = self.nz_cols[nz] - index.start
-            width = index.stop - index.start
-        else:
-            # shift each block's column ids to its place among S's coordinates
-            starts = offsets[blocks]
-            sizes = offsets[blocks + 1] - starts
-            shift = starts - (np.cumsum(sizes) - sizes)
-            counts = self._block_nz[blocks + 1] - self._block_nz[blocks]
-            cols = self.nz_cols[nz] - np.repeat(shift, counts)
-            width = index.size
-        return SparseColumns(index, self.nz_rows[nz], cols, self.nz_values[nz], width, self.m)
+        index = block_coords(self.partition.offset_array, blocks)
+        slots = block_coords(self.slot_offsets, blocks)
+        cols = self.local_cols[slots]
+        if blocks.size > 1:
+            offsets = self.partition.offset_array
+            sizes = offsets[blocks + 1] - offsets[blocks]
+            widths = self.slot_offsets[blocks + 1] - self.slot_offsets[blocks]
+            cols = cols + np.repeat(np.cumsum(sizes) - sizes, widths)[:, None]
+        width = index.stop - index.start if isinstance(index, slice) else index.size
+        return SparseColumns(index, cols, self.vals[slots], self.abs_vals[slots], width)
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return _sum_by(self.nz_rows, self.nz_values * x[self.nz_cols], self.m)
+        return _add_slot_rows(self.vals * x[self.cols])
 
     def rmatvec(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        return _sum_by(self.nz_cols, self.nz_values * y[self.nz_rows], self.n)
+        return _sum_by(self.cols.ravel(), (self.vals * y).ravel(), self.n)
 
     @cached_property
     def col_abs_sums(self) -> np.ndarray:
         """Per-column sums of absolute entries: the adaptive primal penalty."""
-        out = _sum_by(self.nz_cols, np.abs(self.nz_values), self.n)
+        out = _sum_by(self.cols.ravel(), self.abs_vals.ravel(), self.n)
         out.setflags(write=False)
         return out
 
@@ -436,7 +492,8 @@ class SparseCoupling(Coupling):
         return spectral_norm_estimate(self, tol=1e-8, max_iters=5000).value
 
     def __repr__(self):
-        return f"SparseCoupling({self.m}x{self.n}, J={self.num_blocks}, nnz={self.nz_values.size})"
+        return (f"SparseCoupling({self.m}x{self.n}, J={self.num_blocks}, "
+                f"nnz={np.count_nonzero(self.vals)})")
 
 
 class StackColumns:

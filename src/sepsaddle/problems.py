@@ -36,7 +36,6 @@ from .matrices import (
     DenseMatrix,
     IdentityStackCoupling,
     SparseCoupling,
-    column_major_nonzeros,
     spectral_norm_estimate,
 )
 
@@ -245,9 +244,9 @@ def make_group_lasso_hinge(features, labels, groups: BlockPartition,
     if F.shape[1] != groups.total:
         raise ValueError(f"feature width {F.shape[1]} != sum of group sizes {groups.total}")
 
-    # the nonzeros of A = -(z F) / N, scaled bitwise equal to it; the
-    # features themselves are neither copied nor kept
-    rows, cols = column_major_nonzeros(F)
+    # the nonzeros of A = -(z F) / N, scaled bitwise equal to it, from one
+    # row-major scan; the features themselves are neither copied nor kept
+    rows, cols = np.divmod(np.flatnonzero(F != 0), F.shape[1])
     vals = z[rows] * F[rows, cols]
     np.divide(vals, -n_samples, out=vals)
     coupling = SparseCoupling(rows, cols, vals, n_samples, groups)

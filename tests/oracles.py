@@ -339,6 +339,65 @@ def p_matrix_min_eig(A, partition: BlockPartition, blocks, h, sigma_t, K: int, J
     return float(np.linalg.eigvalsh(P).min())
 
 
+class ColumnStore:
+    """The column-by-column sparse store that the slot-row ``SparseCoupling``
+    replaced, kept as the oracle of its products.
+
+    The nonzeros of a dense array, sorted by column with rows ascending in
+    each; a selection's nonzeros in block order, their column ids shifted to
+    their positions among the selection's coordinates; every product one
+    ``np.bincount`` over them.
+    """
+
+    def __init__(self, A, partition: BlockPartition):
+        A = np.asarray(A, dtype=float)
+        rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[1])
+        order = np.argsort(cols, kind="stable")
+        self.rows, self.cols = rows[order], cols[order]
+        self.vals = A[self.rows, self.cols]
+        self.m, self.n = A.shape
+        self.partition = partition
+        self.block_nz = np.searchsorted(self.cols, partition.offset_array)
+
+    @staticmethod
+    def _sum_by(index, weights, length):
+        return np.bincount(index, weights=weights, minlength=length).astype(float)
+
+    def gather(self, blocks):
+        """(coordinates, rows, positions, values, width) of the selection."""
+        offsets = self.partition.offset_array
+        coords = np.concatenate([np.arange(offsets[j], offsets[j + 1]) for j in blocks])
+        nz, pos, start = [], [], 0
+        for j in blocks:
+            span = np.arange(self.block_nz[j], self.block_nz[j + 1])
+            nz.append(span)
+            pos.append(self.cols[span] - offsets[j] + start)
+            start += offsets[j + 1] - offsets[j]
+        nz = np.concatenate(nz)
+        return coords, self.rows[nz], np.concatenate(pos), self.vals[nz], coords.size
+
+    def block_rmatvec(self, blocks, y):
+        _, rows, pos, vals, width = self.gather(blocks)
+        return self._sum_by(pos, vals * y[rows], width)
+
+    def block_matvec(self, blocks, v):
+        _, rows, pos, vals, _ = self.gather(blocks)
+        return self._sum_by(rows, vals * v[pos], self.m)
+
+    def row_abs_sums(self, blocks):
+        _, rows, _, vals, _ = self.gather(blocks)
+        return self._sum_by(rows, np.abs(vals), self.m)
+
+    def matvec(self, x):
+        return self._sum_by(self.rows, self.vals * x[self.cols], self.m)
+
+    def rmatvec(self, y):
+        return self._sum_by(self.cols, self.vals * y[self.rows], self.n)
+
+    def col_abs_sums(self):
+        return self._sum_by(self.cols, np.abs(self.vals), self.n)
+
+
 def verify_saddle_point(instance, x, y, num_directions: int = 200,
                         step: float = 1e-6, seed: int = 0) -> float:
     """Worst directional first-order violation at (x, y) by perturbation.

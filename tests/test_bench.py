@@ -533,6 +533,15 @@ class TestMalformedProblemDir:
         assert code == 2
         assert "'groups'" in err
 
+    def test_group_lasso_libsvm_repeated_index(self, tmp_path, capsys):
+        root = tmp_path / "gl"
+        root.mkdir()
+        (root / "meta.txt").write_text("groups = 1,2\nlam = 0.1\nproblem = group-lasso\n")
+        (root / "features.libsvm").write_text("-1 2:0.7\n1 1:0.5 3:2.0 1:7.0\n")
+        code, err = self.run_dir(root, capsys)
+        assert code == 2
+        assert "line 2: feature index 1 repeated" in err
+
     def test_group_lasso_missing_labels(self, tmp_path, capsys):
         root = tmp_path / "gl"
         root.mkdir()

@@ -79,6 +79,14 @@ class TestLibsvm:
         with pytest.raises(FormatError, match="1-based"):
             load_libsvm(p)
 
+    def test_repeated_index_rejected(self, tmp_path):
+        """A repeated index is refused, not resolved to its last value."""
+        p = tmp_path / "d.libsvm"
+        p.write_text("-1 2:1\n1 1:0.5 3:2.0 1:7.0\n")
+        with pytest.raises(FormatError, match="line 2: feature index 1 repeated") as info:
+            load_libsvm(p)
+        assert info.value.line == 2
+
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "d.libsvm"
         p.write_text("\n")

@@ -9,14 +9,16 @@ from sepsaddle.matrices import (
     DenseCoupling,
     DenseMatrix,
     SparseCoupling,
-    column_major_nonzeros,
+    _add_slot_rows,
     spectral_norm_estimate,
 )
+from oracles import ColumnStore
 
 
 def sparse_coupling(A, partition):
-    """The sparse store of the nonzeros of the dense array ``A``."""
-    rows, cols = column_major_nonzeros(A)
+    """The sparse store of the nonzeros of the dense array ``A``, listed by
+    one row-major scan."""
+    rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[1])
     return SparseCoupling(rows, cols, A[rows, cols], A.shape[0], partition)
 
 
@@ -94,15 +96,6 @@ class TestBlockPartition:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             BlockPartition([2, 2]).slice_of(2)
-
-    def test_coords_over_empty_blocks(self):
-        # per-block nonzero offsets: blocks 0 and 2 hold nothing, block 1
-        # three entries, block 3 one; four entries over four blocks is not
-        # "one coordinate each"
-        offsets = np.array([0, 0, 3, 3, 4])
-        assert np.array_equal(block_coords(offsets, [0, 2, 3], nonempty=False), [3])
-        assert np.array_equal(block_coords(offsets, [1, 3], nonempty=False), [0, 1, 2, 3])
-        assert block_coords(offsets, [0], nonempty=False) == slice(0, 0)
 
     def test_coords_of_a_run_is_a_slice(self):
         offsets = BlockPartition([2, 3, 1, 2]).offset_array
@@ -356,20 +349,103 @@ class TestDenseCoupling:
         assert np.allclose(coupling.gather(np.array([1])).rmatvec(y), A[:, 3:].T @ y)
 
 
+class TestBlockNorms:
+    @pytest.mark.parametrize("store", ["dense", "sparse"])
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_within_1e_13_of_svd(self, store, seed):
+        """Every block norm, one-column and all-zero blocks included, lies
+        within 1e-13 relative of the SVD's largest singular value."""
+        gen = np.random.Generator(np.random.PCG64(seed))
+        sizes = gen.integers(1, 7, size=int(gen.integers(1, 7)))
+        P = BlockPartition(sizes)
+        m = int(gen.integers(1, 9))
+        A = gen.standard_normal((m, P.total)) * (gen.uniform(size=(m, P.total)) < 0.6)
+        A[:, P.slice_of(int(gen.integers(P.num_blocks)))] = 0.0
+        coupling = DenseCoupling(DenseMatrix(A), P) if store == "dense" else sparse_coupling(A, P)
+        for j, norm in enumerate(coupling.block_norms):
+            exact = np.linalg.svd(A[:, P.slice_of(j)], compute_uv=False)[0]
+            assert abs(norm - exact) <= 1e-13 * exact
+
+
+# ---------------------------------------------------------------------------
+# The slot-row sparse store against the column store it replaced
+# (``oracles.ColumnStore``). With one slot row per block every product adds
+# the same terms in the same order, so the outputs are bitwise equal, signed
+# zeros included. With more slot rows, A_S v and the row sums keep that
+# order; A_S^T y and the column sums add a column's entries slot row by slot
+# row instead of row by row.
+# ---------------------------------------------------------------------------
+
+def bits(a):
+    """The bit patterns of a float64 array, so -0.0 differs from +0.0."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def slot_matrices(draw, single_slot):
+    """A small matrix over a partition, with all-zero rows, blocks and
+    (sometimes) matrices, and a sorted selection: one run of consecutive
+    blocks or any distinct set. ``single_slot`` gives every row at most one
+    nonzero in each block; otherwise a row holds up to the block's width."""
+    J = draw(st.integers(1, 10))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=J, max_size=J))
+    P = BlockPartition(sizes)
+    m = draw(st.integers(1, 9))
+    gen = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32 - 1))))
+    A = np.zeros((m, P.total))
+    density = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    for j in range(J):
+        sl = P.slice_of(j)
+        if single_slot:
+            hit = np.flatnonzero(gen.uniform(size=m) < density)
+            A[hit, sl.start + gen.integers(0, sizes[j], size=hit.size)] = 1.0
+        else:
+            A[:, sl] = gen.uniform(size=(m, sizes[j])) < density
+    # values over many magnitudes, of either sign
+    A *= gen.standard_normal(A.shape) * 10.0 ** gen.integers(-6, 7, size=A.shape)
+    if draw(st.booleans()):
+        K = draw(st.integers(1, J))
+        start = draw(st.integers(0, J - K))
+        blocks = np.arange(start, start + K)
+    else:
+        blocks = np.array(sorted(draw(st.sets(st.integers(0, J - 1), min_size=1))))
+    return A, P, blocks, gen
+
+
+def operand(gen, size):
+    """Random entries with some +0.0 and -0.0, so products of either sign
+    of zero occur."""
+    v = gen.standard_normal(size)
+    v[gen.uniform(size=size) < 0.2] = 0.0
+    v[gen.uniform(size=size) < 0.2] = -0.0
+    return v
+
+
 class TestSparseCoupling:
-    def test_nonzeros_are_column_major(self):
-        A = np.array([[0.0, 2.0, 0.0, 5.0],
-                      [1.0, 0.0, 0.0, 6.0],
-                      [3.0, 4.0, 0.0, 0.0]])
-        rows, cols = column_major_nonzeros(A)
-        assert rows.tolist() == [1, 2, 0, 2, 0, 1]
-        assert cols.tolist() == [0, 0, 1, 1, 3, 3]
-        coupling = sparse_coupling(A, BlockPartition([1, 2, 1]))
-        assert coupling.nz_values.size == 6
-        assert np.array_equal(coupling.nz_values, A[rows, cols])
-        assert not coupling.nz_values.flags.writeable
-        assert np.array_equal(coupling.block(1), A[:, 1:3])
-        assert coupling.block(1).flags.f_contiguous
+    def test_hand_example(self):
+        """Block 0 holds two nonzeros in rows 0 and 3, so it owns two slot
+        rows; the all-zero block 1 owns one padding slot row; padding has
+        value 0 at the block's first column."""
+        A = np.array([[0.0, 2.0, 3.0, 0.0, 5.0, 0.0],
+                      [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                      [4.0, 0.0, 7.0, 0.0, 6.0, -8.0]])
+        coupling = sparse_coupling(A, BlockPartition([3, 1, 2]))
+        assert coupling.slot_offsets.tolist() == [0, 2, 3, 5]
+        assert coupling.vals.tolist() == [[2, 1, 0, 4], [3, 0, 0, 7], [0, 0, 0, 0],
+                                          [5, 0, 0, 6], [0, 0, 0, -8]]
+        assert coupling.local_cols.tolist() == [[1, 0, 0, 0], [2, 0, 0, 2], [0, 0, 0, 0],
+                                                [0, 0, 0, 0], [0, 0, 0, 1]]
+        assert coupling.cols.tolist() == [[1, 0, 0, 0], [2, 0, 0, 2], [3, 3, 3, 3],
+                                          [4, 4, 4, 4], [4, 4, 4, 5]]
+        assert np.array_equal(coupling.abs_vals, np.abs(coupling.vals))
+        for arr in (coupling.vals, coupling.local_cols, coupling.cols, coupling.abs_vals):
+            assert not arr.flags.writeable and arr.flags.c_contiguous
+        for j, sl in enumerate((slice(0, 3), slice(3, 4), slice(4, 6))):
+            assert np.array_equal(coupling.block(j), A[:, sl])
+            assert coupling.block(j).flags.f_contiguous
+        assert repr(coupling) == "SparseCoupling(4x6, J=3, nnz=8)"
 
     def test_rejects_non_finite_and_malformed_input(self):
         P = BlockPartition([2])
@@ -380,21 +456,30 @@ class TestSparseCoupling:
             sparse_coupling(np.eye(3), P)
         with pytest.raises(ValueError, match="sorted"):
             SparseCoupling([0, 0], [1, 0], [1.0, 1.0], 1, P)
+        with pytest.raises(ValueError, match="sorted"):
+            SparseCoupling([1, 0], [0, 1], [1.0, 1.0], 2, P)
+        with pytest.raises(ValueError, match="each once"):
+            SparseCoupling([0, 0], [1, 1], [1.0, 1.0], 1, P)
         with pytest.raises(ValueError, match="row indices"):
             SparseCoupling([1], [0], [1.0], 1, P)
         with pytest.raises(ValueError, match="one length"):
             SparseCoupling([0], [0, 1], [1.0], 1, P)
 
-    def test_gather_of_a_run_is_views(self, rng):
+    def test_gather_of_a_block_or_a_run_is_views(self, rng):
         A = rng.standard_normal((4, 7)) * (rng.uniform(size=(4, 7)) < 0.5)
         coupling = sparse_coupling(A, BlockPartition([2, 1, 3, 1]))
+        one = coupling.gather(np.array([2]))
+        assert one.index == slice(3, 6)
+        for got, stored in ((one.cols, coupling.local_cols), (one.vals, coupling.vals),
+                            (one.abs_vals, coupling.abs_vals)):
+            assert np.shares_memory(got, stored)
         run = coupling.gather(np.array([1, 2]))
         assert run.index == slice(2, 6)
-        assert np.shares_memory(run.rows, coupling.nz_rows)
-        assert np.shares_memory(run.vals, coupling.nz_values)
+        assert np.shares_memory(run.vals, coupling.vals)
+        assert np.shares_memory(run.abs_vals, coupling.abs_vals)
 
     def test_scattered_gather_skips_empty_blocks(self):
-        # nnz equals the number of blocks, but block 0 is empty
+        # block 0 is empty and owns one padding slot row
         A = np.array([[0.0, 1.0, 0.0], [0.0, 2.0, 3.0]])
         coupling = sparse_coupling(A, BlockPartition.singletons(3))
         columns = coupling.gather(np.array([0, 2]))
@@ -419,9 +504,79 @@ class TestSparseCoupling:
 
     def test_all_zero_matrix(self):
         coupling = sparse_coupling(np.zeros((3, 4)), BlockPartition([3, 1]))
-        assert coupling.nz_values.size == 0
+        assert coupling.vals.shape == (2, 3) and not coupling.vals.any()
         assert np.array_equal(coupling.matvec(np.ones(4)), np.zeros(3))
         assert np.array_equal(coupling.rmatvec(np.ones(3)), np.zeros(4))
         assert np.array_equal(coupling.row_abs_sums([1]), np.zeros(3))
         assert coupling.block_norms == (0.0, 0.0)
         assert coupling.spectral_norm == 0.0
+
+    def test_row_sums_are_new_arrays(self):
+        """The row sums come from the cached |values|; the caller may
+        overwrite them."""
+        coupling = sparse_coupling(np.array([[1.0, -2.0], [0.0, 3.0]]), BlockPartition([1, 1]))
+        sums = coupling.gather(np.array([1])).row_abs_sums()
+        sums *= 10.0
+        assert np.array_equal(coupling.row_abs_sums([1]), [2.0, 3.0])
+
+    @given(slot_matrices(single_slot=True))
+    @settings(max_examples=150, deadline=None)
+    def test_single_slot_store_is_bitwise_the_column_store(self, drawn):
+        A, P, blocks, gen = drawn
+        store, oracle = sparse_coupling(A, P), ColumnStore(A, P)
+        assert store.vals.shape == (P.num_blocks, A.shape[0])
+        coords = oracle.gather(blocks)[0]
+        columns = store.gather(blocks)
+        assert np.array_equal(np.arange(P.total)[columns.index], coords)
+        y, v, x = operand(gen, A.shape[0]), operand(gen, coords.size), operand(gen, P.total)
+        for got, want in ((columns.rmatvec(y), oracle.block_rmatvec(blocks, y)),
+                          (columns.matvec(v), oracle.block_matvec(blocks, v)),
+                          (columns.row_abs_sums(), oracle.row_abs_sums(blocks)),
+                          (store.row_abs_sums(blocks), oracle.row_abs_sums(blocks)),
+                          (store.matvec(x), oracle.matvec(x)),
+                          (store.rmatvec(y), oracle.rmatvec(y)),
+                          (store.col_abs_sums, oracle.col_abs_sums())):
+            assert got.dtype == np.float64
+            assert np.array_equal(bits(got), bits(want))
+
+    @given(slot_matrices(single_slot=False))
+    @settings(max_examples=150, deadline=None)
+    def test_general_store_matches_the_column_store(self, drawn):
+        """Padding changes no finite result: A_S v, the row sums and A x are
+        bitwise the column store's, and A_S^T y and A^T y are bitwise the
+        bincount over the real nonzeros alone, in slot-row order."""
+        A, P, blocks, gen = drawn
+        store, oracle = sparse_coupling(A, P), ColumnStore(A, P)
+        coords = oracle.gather(blocks)[0]
+        columns = store.gather(blocks)
+        assert np.array_equal(np.arange(P.total)[columns.index], coords)
+        y, v, x = operand(gen, A.shape[0]), operand(gen, coords.size), operand(gen, P.total)
+        for got, want in ((columns.matvec(v), oracle.block_matvec(blocks, v)),
+                          (columns.row_abs_sums(), oracle.row_abs_sums(blocks)),
+                          (store.matvec(x), oracle.matvec(x))):
+            assert np.array_equal(bits(got), bits(want))
+        real = columns.vals != 0
+        products = columns.vals * y
+        want = ColumnStore._sum_by(columns.cols[real], products[real], coords.size)
+        assert np.array_equal(bits(columns.rmatvec(y)), bits(want))
+        real = store.vals != 0
+        want = ColumnStore._sum_by(store.cols[real], (store.vals * y)[real], P.total)
+        assert np.array_equal(bits(store.rmatvec(y)), bits(want))
+        assert np.allclose(store.col_abs_sums, oracle.col_abs_sums(), rtol=1e-14, atol=0)
+        for j in range(P.num_blocks):
+            assert np.array_equal(store.block(j), A[:, P.slice_of(j)])
+
+    @given(st.integers(1, 40), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_slot_row_sum_is_bincount_order(self, W, m, seed):
+        """The slot-row sum, its one-row shortcut and its one-column case
+        are bitwise the bincount over the rows' entries, signed zeros
+        included; the shortcut is bitwise the general reduction."""
+        gen = np.random.Generator(np.random.PCG64(seed))
+        a = gen.standard_normal((W, m)) * 10.0 ** gen.integers(-8, 9, size=(W, m))
+        a[gen.uniform(size=a.shape) < 0.3] = -0.0
+        want = ColumnStore._sum_by(np.tile(np.arange(m), W), a.ravel(), m)
+        assert np.array_equal(bits(_add_slot_rows(a)), bits(want))
+        one = a[:1]
+        assert np.array_equal(bits(_add_slot_rows(one)),
+                              bits(np.add.reduce(one, axis=0, initial=0.0)))

@@ -228,7 +228,7 @@ class TestMakeGroupLassoHinge:
         inst = self.small_instance()
         assert inst.objective(np.zeros(inst.n)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_coupling_stores_scaled_nonzeros_column_major(self, rng):
+    def test_coupling_stores_scaled_nonzeros_in_slot_rows(self, rng):
         features, labels, spec = gen_group_lasso(seed=2, n_samples=40)
         # the one-hot pattern with general values, so that a different
         # rounding of the scaling shows; a caller's own, writeable array
@@ -236,14 +236,14 @@ class TestMakeGroupLassoHinge:
         before = F.copy()
         inst = make_group_lasso_hinge(F, labels, spec, 0.05)
         coupling = inst.coupling
-        rows, cols = coupling.nz_rows, coupling.nz_cols
         scaled = -(labels[:, None] * before) / 40
         # every nonzero of -(z F) / N, bitwise, and nothing else
-        assert coupling.nz_values.size == np.count_nonzero(scaled)
-        assert np.array_equal(coupling.nz_values, scaled[rows, cols])
-        # column-major, rows ascending within each column
-        step = np.diff(cols)
-        assert np.all(step >= 0) and np.all(np.diff(rows)[step == 0] > 0)
+        assert np.count_nonzero(coupling.vals) == np.count_nonzero(scaled)
+        dense = np.hstack([coupling.block(j) for j in range(inst.num_blocks)])
+        assert np.array_equal(dense, scaled)
+        # one-hot groups: one slot row per group, with no padding
+        assert coupling.vals.shape == (spec.num_blocks, 40)
+        assert np.all(coupling.vals != 0)
         # the caller's features are left as they were
         assert np.array_equal(F, before)
         assert F.flags.writeable and F.flags.c_contiguous

@@ -24,7 +24,6 @@ from sepsaddle.matrices import (
     DenseCoupling,
     DenseMatrix,
     SparseCoupling,
-    column_major_nonzeros,
 )
 from sepsaddle.problems import (
     SepCCSPInstance,
@@ -445,8 +444,7 @@ class TestIterate:
         """A sparse block with no nonzero sums its rows to zeros, which the
         sigma rule scales and floors in place."""
         A = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        rows, cols = column_major_nonzeros(A)
-        coupling = SparseCoupling(rows, cols, A[rows, cols], 2, BlockPartition([1, 2]))
+        coupling = sparse_coupling(A, BlockPartition([1, 2]))
         inst = SepCCSPInstance(coupling=coupling, block_fns=(L1Block(0.1), GroupL2Block(0.1)),
                                dual_fn=BoxLinearDual(-0.5), primal_objective=lambda x: 0.0,
                                residual_kind="suboptimality")
@@ -682,8 +680,9 @@ def test_batched_iterate_matches_per_block_loop(kind, size, layout, rule, sigma_
 # ---------------------------------------------------------------------------
 
 def sparse_coupling(A, partition):
-    """The sparse store of the nonzeros of the dense array ``A``."""
-    rows, cols = column_major_nonzeros(A)
+    """The sparse store of the nonzeros of the dense array ``A``, listed by
+    one row-major scan."""
+    rows, cols = np.divmod(np.flatnonzero(A != 0), A.shape[1])
     return SparseCoupling(rows, cols, A[rows, cols], A.shape[0], partition)
 
 
