@@ -4,13 +4,16 @@ preconditioned variant, and ISTA/FISTA for lasso.
 Every run is its step inside ``spbcd.timed_passes``, the engine's own timed
 pass loop, so all solvers time, trace and abort alike. pdcp takes its primal
 prox over all blocks in one ``instance.block_prox`` call. The two references
-(``fista_reference``, ``preconditioned_reference``) are the FISTA and the
-preconditioned steps under one stopping rule, ``_settle``.
+(``fista_reference``, ``preconditioned_reference``) are the FISTA steps and
+the block engine's passes at K = J under one stopping rule, ``_settle``.
 
-The preconditioned path is deliberately a separate implementation from the
-block engine (full-matrix products, no sampling, no running-sum cache, one
+The preconditioned steps (``preconditioned_pdcp_iterate``, the
+``preconditioned-pdcp`` solver) are deliberately a separate implementation
+from the block engine (full products, no sampling, no running-sum cache, one
 prox call per block): with all blocks selected every iteration the two must
-produce identical iterates, which makes it the engine's equivalence oracle.
+produce the same iterates to 1e-12, which makes them the engine's equivalence
+oracle. The reference steps the engine instead, with its batched prox and
+column-set products, since it only needs the optimum.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError
 from .matrices import _values, spectral_norm_estimate
 from .prox import prox_l1
-from .spbcd import FLOOR_EPS, lift_nonseparable, timed_passes
+from .spbcd import (FLOOR_EPS, StepsizeConfig, initial_state, lift_nonseparable, pass_step,
+                    timed_passes)
 
 
 @dataclass
@@ -33,7 +37,6 @@ class PdcpConfig:
 
     h: float
     sigma: float
-    theta: float = 1.0
 
     def __post_init__(self):
         if self.h <= 0 or self.sigma <= 0:
@@ -44,7 +47,7 @@ class PdcpConfig:
         nrm = instance.coupling.spectral_norm
         if nrm <= 0:
             raise ConfigError("coupling has zero norm; no recommended penalties")
-        return cls(h=nrm, sigma=nrm, theta=1.0)
+        return cls(h=nrm, sigma=nrm)
 
 
 @dataclass
@@ -64,22 +67,21 @@ def pdcp_initial_state(instance, x0=None, y0=None) -> PdcpState:
 def pdcp_iterate(instance, state: PdcpState, config: PdcpConfig) -> PdcpState:
     """One batch step, dual first: resolvent at A x_bar^t, then the primal
     prox of every block at A^T y^{t+1} in one ``block_prox`` call, then
-    extrapolation."""
+    extrapolation with theta = 1."""
     u = instance.coupling.matvec(state.x_bar)
     y_new = instance.dual_fn.resolvent(state.y, u, config.sigma)
     grad = instance.coupling.rmatvec(y_new)
     n = instance.n
     x_new = instance.block_prox(state.x - grad / config.h, np.full(n, config.h),
                                 slice(0, n), np.arange(instance.num_blocks))
-    state.x_bar = x_new + config.theta * (x_new - state.x)
+    state.x_bar = x_new + (x_new - state.x)
     state.x = x_new
     state.y = y_new
     state.t += 1
     return state
 
 
-def pdcp_run(instance, config: PdcpConfig, passes: int, metric_callback=None,
-             x0=None, y0=None):
+def pdcp_run(instance, config: PdcpConfig, passes: int, metric_callback=None):
     """Batch method: one iteration is one pass. Returns (state, trace)."""
     if passes < 1:
         raise ValueError("passes must be >= 1")
@@ -92,7 +94,7 @@ def pdcp_run(instance, config: PdcpConfig, passes: int, metric_callback=None,
             stacklevel=2,
         )
     return timed_passes(lambda state: pdcp_iterate(instance, state, config),
-                        pdcp_initial_state(instance, x0, y0), passes, metric_callback)
+                        pdcp_initial_state(instance), passes, metric_callback)
 
 
 def preconditioned_penalties(instance):
@@ -106,14 +108,14 @@ def preconditioned_penalties(instance):
     return h, sigma
 
 
-def preconditioned_pdcp_iterate(instance, state: PdcpState, penalties=None) -> PdcpState:
+def preconditioned_pdcp_iterate(instance, state: PdcpState, penalties) -> PdcpState:
     """One diagonally preconditioned step, primal first with theta = 1.
 
     Updates every block's prox at A^T y^t, extrapolates, then takes the dual
     resolvent at A x_bar^{t+1}; from a shared start this reproduces the block
     engine with K = J exactly.
     """
-    h, sigma = preconditioned_penalties(instance) if penalties is None else penalties
+    h, sigma = penalties
     grad = instance.coupling.rmatvec(state.y)
     x_new = np.empty(instance.n)
     for j, fn in enumerate(instance.block_fns):
@@ -128,13 +130,12 @@ def preconditioned_pdcp_iterate(instance, state: PdcpState, penalties=None) -> P
     return state
 
 
-def preconditioned_pdcp_run(instance, passes: int, metric_callback=None,
-                            x0=None, y0=None):
+def preconditioned_pdcp_run(instance, passes: int, metric_callback=None):
     if passes < 1:
         raise ValueError("passes must be >= 1")
     penalties = preconditioned_penalties(instance)
     return timed_passes(lambda state: preconditioned_pdcp_iterate(instance, state, penalties),
-                        pdcp_initial_state(instance, x0, y0), passes, metric_callback)
+                        pdcp_initial_state(instance), passes, metric_callback)
 
 
 def _settle(step, state, objective, tol: float, window: int, max_passes: int, what: str):
@@ -157,11 +158,14 @@ def _settle(step, state, objective, tol: float, window: int, max_passes: int, wh
 
 def preconditioned_reference(instance, tol: float = 1e-10, window: int = 50,
                              max_passes: int = 200_000):
-    """Diagonally preconditioned run until the instance objective changes by
-    less than ``tol`` (relative) over ``window`` passes. Returns (x, y)."""
-    penalties = preconditioned_penalties(instance)
-    state, _ = _settle(lambda state: preconditioned_pdcp_iterate(instance, state, penalties),
-                       pdcp_initial_state(instance), lambda state: instance.objective(state.x),
+    """The diagonally preconditioned method, stepped as the block engine at
+    K = J (``spbcd.pass_step``, seed 0), until the objective changes by less
+    than ``tol`` (relative) over ``window`` passes. Returns (x, y). The config
+    skips ``for_instance``, whose floored-penalty warning a run already gives."""
+    J = instance.num_blocks
+    config = StepsizeConfig("adaptive-l1", preconditioned_penalties(instance)[0], K=J, J=J)
+    step = pass_step(instance, config, np.random.Generator(np.random.PCG64(0)))
+    state, _ = _settle(step, initial_state(instance), lambda state: instance.objective(state.x),
                        tol, window, max_passes, "preconditioned reference")
     return state.x, state.y
 
@@ -194,30 +198,26 @@ def _fista_steps(M, b, lam: float, L: float, x):
         yield x
 
 
-def _lasso_start(A, L, x0):
+def _lasso_start(A):
+    """The matrix, the step constant L and the zero start."""
     M = _values(A)
-    if L is None:
-        L = lipschitz_upper(M)
-    x = np.zeros(M.shape[1]) if x0 is None else np.array(x0, dtype=float)
-    return M, L, x
+    return M, lipschitz_upper(M), np.zeros(M.shape[1])
 
 
-def ista_run(A, b, lam: float, passes: int, L: float | None = None,
-             metric_callback=None, x0=None):
-    """Proximal gradient; passes=0 returns the initializer."""
+def ista_run(A, b, lam: float, passes: int, metric_callback=None):
+    """Proximal gradient from zero; passes=0 returns zeros."""
     if passes < 0:
         raise ValueError("passes must be >= 0")
-    M, L, x = _lasso_start(A, L, x0)
+    M, L, x = _lasso_start(A)
     return timed_passes(lambda x: ista_step(M, b, lam, L, x), x, passes, metric_callback)
 
 
-def fista_run(A, b, lam: float, L: float | None = None, passes: int = 100,
-              metric_callback=None, x0=None):
-    """Accelerated shrinkage (``_fista_steps``); passes=0 returns the
-    initializer."""
+def fista_run(A, b, lam: float, passes: int = 100, metric_callback=None):
+    """Accelerated shrinkage (``_fista_steps``) from zero; passes=0 returns
+    zeros."""
     if passes < 0:
         raise ValueError("passes must be >= 0")
-    M, L, x = _lasso_start(A, L, x0)
+    M, L, x = _lasso_start(A)
     steps = _fista_steps(M, b, lam, L, x)
     return timed_passes(lambda _: next(steps), x, passes, metric_callback)
 
@@ -226,7 +226,7 @@ def fista_reference(A, b, lam: float, tol: float = 1e-10, window: int = 50,
                     max_passes: int = 200_000):
     """Accelerated shrinkage until the lasso objective changes by less than
     ``tol`` (relative) over ``window`` passes. Returns (x, objective)."""
-    M, L, x = _lasso_start(A, None, None)
+    M, L, x = _lasso_start(A)
     steps = _fista_steps(M, b, lam, L, x)
 
     def objective(z):

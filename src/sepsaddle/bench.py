@@ -106,6 +106,12 @@ class RunConfig:
                               f"got {self.lam!r}")
         if self.lam is not None and self.problem == "rpca":
             raise ConfigError(_RPCA_LAM)
+        if self.gl_samples < 1:
+            raise ConfigError(f"--gl-samples must be >= 1, got {self.gl_samples!r}")
+        if not 0 < self.gl_active <= 1:
+            raise ConfigError(f"--gl-active must lie in (0, 1], got {self.gl_active!r}")
+        if not (math.isfinite(self.gl_noise) and self.gl_noise >= 0):
+            raise ConfigError(f"--gl-noise must be finite and >= 0, got {self.gl_noise!r}")
 
     def sizes(self) -> tuple:
         if self.problem == "lasso":
@@ -321,6 +327,16 @@ def _dispatch(config: RunConfig, bundle: ProblemBundle, record):
 # Trace files
 # ---------------------------------------------------------------------------
 
+def _trace_header(with_gap: bool) -> str:
+    return "pass,elapsed_ms,objective,residual" + (",gap" if with_gap else "")
+
+
+def _trace_row(rec: TraceRecord, with_gap: bool) -> str:
+    """One trace record as a CSV row under ``_trace_header``."""
+    row = f"{rec.pass_index},{rec.elapsed_ms:.3f},{rec.objective!r},{rec.residual!r}"
+    return row + f",{rec.gap!r}" if with_gap else row
+
+
 def write_trace(path, config: RunConfig, trace) -> Path:
     path = Path(path)
     if path.parent != Path(""):
@@ -338,15 +354,8 @@ def write_trace(path, config: RunConfig, trace) -> Path:
         lines.append(f"# sigma_override={config.sigma_override!r}")
     if config.sigma_scale != 1.0:
         lines.append(f"# sigma_scale={config.sigma_scale!r}")
-    header = "pass,elapsed_ms,objective,residual"
-    if with_gap:
-        header += ",gap"
-    lines.append(header)
-    for rec in trace:
-        row = f"{rec.pass_index},{rec.elapsed_ms:.3f},{rec.objective!r},{rec.residual!r}"
-        if with_gap:
-            row += f",{rec.gap!r}"
-        lines.append(row)
+    lines.append(_trace_header(with_gap))
+    lines.extend(_trace_row(rec, with_gap) for rec in trace)
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     return path
 
@@ -381,17 +390,9 @@ def compare(configs, out_dir, metric: str = "objective") -> dict:
     combined = out_dir / "combined.csv"
     with_gap = any(rec.gap is not None for trace in traces for rec in trace)
     lines = [f"# problem={configs[0].problem}", f"# seed={configs[0].seed}"]
-    header = "solver,pass,elapsed_ms,objective,residual"
-    if with_gap:
-        header += ",gap"
-    lines.append(header)
-    for label, trace in zip(labels, traces):
-        for rec in trace:
-            row = (f"{label},{rec.pass_index},{rec.elapsed_ms:.3f},"
-                   f"{rec.objective!r},{rec.residual!r}")
-            if with_gap:
-                row += f",{rec.gap!r}"
-            lines.append(row)
+    lines.append("solver," + _trace_header(with_gap))
+    lines.extend(f"{label},{_trace_row(rec, with_gap)}"
+                 for label, trace in zip(labels, traces) for rec in trace)
     combined.write_text("\n".join(lines) + "\n", encoding="ascii")
 
     def metric_values(trace):

@@ -94,19 +94,6 @@ class QuadraticBlock:
 
 
 @dataclass(frozen=True)
-class ZeroBlock:
-    """f(x) = 0."""
-
-    separable = True
-
-    def value(self, x) -> float:
-        return 0.0
-
-    def prox(self, v, h) -> np.ndarray:
-        return np.asarray(v, dtype=float).copy()
-
-
-@dataclass(frozen=True)
 class NuclearBlock:
     """f(X) = weight * ||X||_* on a vectorized (rows x cols) matrix block."""
 
@@ -141,8 +128,6 @@ def _prox_class(fn) -> tuple[int, float]:
     kind = type(fn)
     if kind is L1Block:
         return _SOFT, fn.weight
-    if kind is ZeroBlock:
-        return _SOFT, 0.0  # soft threshold 0: the identity
     if kind is QuadraticBlock:
         return _QUADRATIC, 0.0
     if kind is GroupL2Block:
@@ -153,11 +138,12 @@ def _prox_class(fn) -> tuple[int, float]:
 class BlockProx:
     """The prox of a set of blocks, with one call per function class.
 
-    L1, zero and quadratic blocks are coordinatewise, so all their selected
-    coordinates take one elementwise prox with per-coordinate weights built
-    here, once. Group-L2 blocks are shrunk together from segment norms. Any
-    other block (nuclear, or a user-defined function) calls its own ``prox``
-    inline. Every block writes only its own coordinates.
+    L1 blocks (weight 0 is the zero function) and quadratic blocks are
+    coordinatewise, so all their selected coordinates take one elementwise
+    prox with per-coordinate weights built here, once. Group-L2 blocks are
+    shrunk together from segment norms. Any other block (nuclear, or a
+    user-defined function) calls its own ``prox`` inline. Every block writes
+    only its own coordinates.
     """
 
     def __init__(self, block_fns, block_sizes):

@@ -5,8 +5,8 @@ Matrices are float64 and immutable after construction. A ``DenseMatrix``
 keeps the layout it was built with (C order by default). Every coupling is a
 ``Coupling``: a partition into column blocks plus the column-set operations
 ``gather`` (A_S for a set S of blocks, with A_S^T y, A_S v and the row
-absolute sums of A_S), the full products, and the stepsize quantities
-(column absolute sums, block norms, spectral norm).
+absolute sums of A_S), the full products (those of the set of all blocks),
+and the stepsize quantities (column absolute sums, block norms, spectral norm).
 ``DenseCoupling`` stores its matrix column-major, so a single block and any
 run of consecutive blocks are views and a scattered set of blocks is one
 gather of their columns; ``SparseCoupling`` stores each block's nonzeros as
@@ -193,9 +193,9 @@ class Coupling:
     A subclass sets ``partition`` and ``m`` and supplies ``gather(blocks)``
     (the columns of sorted, distinct blocks, with ``index``, ``rmatvec``,
     ``matvec`` and ``row_abs_sums``, each returning a new float64 array
-    that the caller may overwrite), ``matvec``, ``rmatvec``,
-    ``col_abs_sums`` and ``spectral_norm``, and either ``block(j)`` (block j
-    as a dense array) or its own ``block_norms``.
+    that the caller may overwrite), ``col_abs_sums`` and ``spectral_norm``,
+    and either ``block(j)`` (block j as a dense array) or its own
+    ``block_norms``. A x and A^T y are the products of the set of all blocks.
     """
 
     partition: BlockPartition
@@ -211,6 +211,17 @@ class Coupling:
 
     def block_slice(self, j: int) -> slice:
         return self.partition.slice_of(j)
+
+    @cached_property
+    def _all_columns(self):
+        """The column set of every block, gathered once."""
+        return self.gather(np.arange(self.num_blocks))
+
+    def matvec(self, x) -> np.ndarray:
+        return self._all_columns.matvec(np.asarray(x, dtype=float))
+
+    def rmatvec(self, y) -> np.ndarray:
+        return self._all_columns.rmatvec(np.asarray(y, dtype=float))
 
     def row_abs_sums(self, blocks) -> np.ndarray:
         """Row absolute sums over the selected blocks (duplicates collapse)."""
@@ -285,12 +296,6 @@ class DenseCoupling(Coupling):
         consecutive, otherwise one gather of their columns."""
         index = block_coords(self.partition.offset_array, blocks)
         return DenseColumns(self.matrix.values[:, index], index)
-
-    def matvec(self, x) -> np.ndarray:
-        return self.matrix.values @ x
-
-    def rmatvec(self, y) -> np.ndarray:
-        return self.matrix.values.T @ y
 
     @cached_property
     def col_abs_sums(self) -> np.ndarray:
@@ -472,13 +477,10 @@ class SparseCoupling(Coupling):
         width = index.stop - index.start if isinstance(index, slice) else index.size
         return SparseColumns(index, cols, self.vals[slots], self.abs_vals[slots], width)
 
-    def matvec(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return _add_slot_rows(self.vals * x[self.cols])
-
-    def rmatvec(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return _sum_by(self.cols.ravel(), (self.vals * y).ravel(), self.n)
+    @cached_property
+    def _all_columns(self) -> SparseColumns:
+        """All slot rows; their positions are the stored global ``cols``."""
+        return SparseColumns(slice(0, self.n), self.cols, self.vals, self.abs_vals, self.n)
 
     @cached_property
     def col_abs_sums(self) -> np.ndarray:
@@ -538,12 +540,6 @@ class IdentityStackCoupling(Coupling):
         """A_S for the sorted, distinct ``blocks``."""
         index = block_coords(self.partition.offset_array, blocks)
         return StackColumns(index, len(blocks), self.m)
-
-    def matvec(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float).reshape(self.num_blocks, self.m).sum(axis=0)
-
-    def rmatvec(self, y) -> np.ndarray:
-        return np.tile(np.asarray(y, dtype=float), self.num_blocks)
 
     @cached_property
     def col_abs_sums(self) -> np.ndarray:

@@ -11,6 +11,7 @@ the application's own objective and residual evaluators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -298,6 +299,12 @@ def gen_group_lasso(seed: int, n_samples: int = 2000, active_fraction: float = 0
     group-sparse linear model (``active_fraction`` of groups) plus Gaussian
     noise, centered for class balance. Deterministic given seed.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
+    if not 0 < active_fraction <= 1:
+        raise ValueError(f"active_fraction must lie in (0, 1], got {active_fraction!r}")
+    if not (math.isfinite(label_noise) and label_noise >= 0):
+        raise ValueError(f"label_noise must be finite and >= 0, got {label_noise!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     Q, L = _GL_ALPHABET, _GL_POSITIONS
     seqs = rng.integers(0, Q, size=(n_samples, L))

@@ -37,6 +37,7 @@ from .errors import ConfigError, NumericsError, RunAborted
 
 FLOOR_EPS = 1e-10  # floor of every primal and dual penalty
 RBAR_TOL = 1e-10  # largest relative r_bar drift a run accepts
+RBAR_CHECK_INTERVAL = 2000  # iterations between two r_bar drift checks
 
 STEPSIZE_RULES = ("adaptive-l1", "block-spectral")
 
@@ -282,11 +283,29 @@ def timed_passes(step, state, passes: int, metric_callback=None):
     return state, trace
 
 
+def pass_step(instance, config: StepsizeConfig, rng: np.random.Generator,
+              rbar_check_interval: int = RBAR_CHECK_INTERVAL):
+    """One pass of ``iterate`` as a function of the state; the r_bar drift is
+    held to ``RBAR_TOL`` every ``rbar_check_interval`` iterations."""
+    per_pass = iterations_per_pass(config.J, config.K)
+
+    def one_pass(state):
+        for _ in range(per_pass):
+            iterate(instance, state, config, rng)
+            if state.t % rbar_check_interval == 0:
+                drift = rbar_drift(instance, state)
+                if drift > RBAR_TOL:
+                    raise NumericsError(f"r_bar cache drift {drift:.3e} exceeds "
+                                        f"{RBAR_TOL:g} at iteration {state.t}")
+        return state
+
+    return one_pass
+
+
 def run(instance, config: StepsizeConfig, pass_budget: int, metric_callback=None, *,
-        seed: int = 0, workers: int = 1, x0=None, y0=None,
-        rbar_check_interval: int = 2000):
-    """Run ``pass_budget`` passes through ``timed_passes``; returns (final
-    state, trace).
+        seed: int = 0, workers: int = 1, rbar_check_interval: int = RBAR_CHECK_INTERVAL):
+    """Run ``pass_budget`` passes (``pass_step``) through ``timed_passes``
+    from the zero state; returns (final state, trace).
 
     ``metric_callback(pass_index, state, solver_seconds)`` is invoked once per
     pass with the cumulative solver-only wall time (callback time excluded);
@@ -303,20 +322,6 @@ def run(instance, config: StepsizeConfig, pass_budget: int, metric_callback=None
         raise ValueError(f"pass_budget must be a positive integer, got {pass_budget!r}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    state = initial_state(instance, x0=x0, y0=y0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    per_pass = iterations_per_pass(config.J, config.K)
-
-    def one_pass(state):
-        for _ in range(per_pass):
-            iterate(instance, state, config, rng)
-            if state.t % rbar_check_interval == 0:
-                drift = rbar_drift(instance, state)
-                if drift > RBAR_TOL:
-                    raise NumericsError(
-                        f"r_bar cache drift {drift:.3e} exceeds {RBAR_TOL:g} "
-                        f"at iteration {state.t}"
-                    )
-        return state
-
-    return timed_passes(one_pass, state, pass_budget, metric_callback)
+    return timed_passes(pass_step(instance, config, rng, rbar_check_interval),
+                        initial_state(instance), pass_budget, metric_callback)

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from sepsaddle import spbcd
 from sepsaddle.baselines import (
     PdcpConfig,
     fista_reference,
@@ -17,7 +20,7 @@ from sepsaddle.baselines import (
     preconditioned_reference,
 )
 from sepsaddle.bench import SOLVERS
-from sepsaddle.errors import ConfigError, RunAborted
+from sepsaddle.errors import ConfigError, NumericsError, RunAborted
 from sepsaddle.problems import gen_group_lasso, gen_lasso, gen_rpca, make_group_lasso_hinge, \
     make_lasso, make_rpca, rpca_default_penalties
 from sepsaddle.spbcd import StepsizeConfig, run
@@ -33,7 +36,7 @@ def per_block_pdcp_iterate(instance, state, config):
     for j, fn in enumerate(instance.block_fns):
         sl = instance.block_slice(j)
         x_new[sl] = fn.prox(state.x[sl] - grad[sl] / config.h, config.h)
-    state.x_bar = x_new + config.theta * (x_new - state.x)
+    state.x_bar = x_new + (x_new - state.x)
     state.x = x_new
     state.y = y_new
     state.t += 1
@@ -67,7 +70,6 @@ class TestPdcp:
         config = PdcpConfig.recommended(small_lasso)
         nrm = small_lasso.coupling.spectral_norm
         assert config.sigma * config.h >= nrm ** 2 * (1 - 1e-12)
-        assert config.theta == 1.0
 
     def test_fixed_point_is_stationary(self):
         inst, x_star, y_star = exact_toy_lasso()
@@ -156,16 +158,35 @@ class TestPreconditionedPdcp:
 
     @pytest.mark.parametrize("window", [1, 7, 50])
     def test_reference_is_run_plus_stopping_rule(self, small_lasso, window):
-        # tol = 1e6 stops after the first window
+        # tol = 1e6 stops after the first window; the reference is the
+        # engine at K = J with seed 0
         x, y = preconditioned_reference(small_lasso, tol=1e6, window=window)
-        state, _ = preconditioned_pdcp_run(small_lasso, passes=window)
+        config = StepsizeConfig.for_instance(small_lasso, K=small_lasso.num_blocks)
+        state, _ = run(small_lasso, config, pass_budget=window, seed=0)
         assert np.array_equal(x, state.x)
         assert np.array_equal(y, state.y)
 
+    def test_reference_does_not_repeat_the_floor_warning(self):
+        # column 2 is zero, so its penalty is floored and for_instance warns
+        inst = make_lasso(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0]]),
+                          np.array([1.0, -1.0]), 0.1)
+        with pytest.warns(RuntimeWarning, match="floored"):
+            StepsizeConfig.for_instance(inst, K=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            preconditioned_reference(inst, tol=1e6, window=2)
+
+    def test_reference_checks_rbar_drift(self, small_lasso, monkeypatch):
+        monkeypatch.setattr(spbcd, "RBAR_TOL", -1.0)  # every check fails
+        with pytest.raises(NumericsError, match="drift .* at iteration 2000$"):
+            preconditioned_reference(small_lasso, tol=0.0, window=2000, max_passes=2000)
+
     def test_zero_matrix_reduces_to_pure_prox(self):
         inst = make_lasso(np.zeros((2, 3)), np.zeros(2), 0.5)
-        state, _ = preconditioned_pdcp_run(inst, passes=3,
-                                           x0=np.array([1.0, -2.0, 3.0]))
+        state = pdcp_initial_state(inst, x0=np.array([1.0, -2.0, 3.0]))
+        penalties = preconditioned_penalties(inst)
+        for _ in range(3):
+            preconditioned_pdcp_iterate(inst, state, penalties)
         assert np.all(np.isfinite(state.x))
         # with floored penalties the shrink threshold is enormous: x -> 0
         assert np.allclose(state.x, 0.0)
@@ -225,9 +246,8 @@ class TestFista:
 
     def test_zero_passes_returns_initializer(self):
         A, b, lam = gen_lasso(4, 6, 2, seed=1)
-        x0 = np.ones(6)
-        x, trace = fista_run(A.values, b, lam, passes=0, x0=x0)
-        assert np.array_equal(x, x0)
+        x, trace = fista_run(A.values, b, lam, passes=0)
+        assert np.array_equal(x, np.zeros(6))
         assert trace == []
 
     @pytest.mark.parametrize("window", [1, 7, 50])

@@ -98,6 +98,23 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="problem 'rpca' has no lam"):
             RunConfig(problem="rpca", lam=1.0)
 
+    @pytest.mark.parametrize("key, value, flag", [
+        ("gl_samples", 0, "--gl-samples must be >= 1"),
+        ("gl_samples", -4, "--gl-samples must be >= 1"),
+        ("gl_active", -3.0, "--gl-active must lie in"),
+        ("gl_active", 0.0, "--gl-active must lie in"),
+        ("gl_active", 1.5, "--gl-active must lie in"),
+        ("gl_active", float("nan"), "--gl-active must lie in"),
+        ("gl_noise", -1.0, "--gl-noise must be finite"),
+        ("gl_noise", float("nan"), "--gl-noise must be finite"),
+        ("gl_noise", float("inf"), "--gl-noise must be finite")])
+    def test_group_lasso_generator_settings_checked(self, key, value, flag):
+        with pytest.raises(ConfigError, match=flag):
+            RunConfig(problem="group-lasso", **{key: value})
+
+    def test_group_lasso_generator_edge_values_pass(self):
+        RunConfig(problem="group-lasso", gl_samples=1, gl_active=1.0, gl_noise=0.0)
+
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("key", ["sigma_override", "sigma_scale"])
     def test_sigma_settings_must_be_positive_and_finite(self, key, value):
@@ -213,6 +230,16 @@ class TestCompare:
         with pytest.raises(ConfigError, match="distinct"):
             compare([tiny_lasso_config(K=4), tiny_lasso_config(K=4)], tmp_path)
 
+    def test_combined_rows_are_the_trace_file_rows(self, tmp_path):
+        configs = [tiny_lasso_config(gap=True, out=str(tmp_path / "a.csv")),
+                   tiny_lasso_config(solver="pdcp", gap=True, out=str(tmp_path / "b.csv"))]
+        combined = compare(configs, tmp_path / "cmp")["combined"].read_text().splitlines()
+        assert combined[2] == "solver,pass,elapsed_ms,objective,residual,gap"
+        rows = [f"{label},{line}" for label, name in (("spbcd-K4", "a.csv"), ("pdcp", "b.csv"))
+                for line in (tmp_path / name).read_text().splitlines()
+                if not line.startswith(("#", "pass"))]
+        assert combined[3:] == rows and len(rows) == 10
+
     def test_identical_traces_render(self, tmp_path):
         configs = [tiny_lasso_config(label="a"), tiny_lasso_config(label="b")]
         paths = compare(configs, tmp_path / "same")
@@ -283,6 +310,17 @@ class TestWriteTrace:
         assert "pass,elapsed_ms,objective,residual" in text
 
 
+    @pytest.mark.parametrize("gap", [None, 0.25])
+    def test_rows_are_byte_exact(self, tmp_path, gap):
+        trace = [TraceRecord(1, 1.5, 2.0, 0.1, gap), TraceRecord(2, 12.3456, 1 / 3, 1e-17, gap)]
+        lines = write_trace(tmp_path / "t.csv", tiny_lasso_config(), trace).read_text()
+        tail = ",0.25" if gap else ""
+        assert lines.splitlines()[-3:] == [
+            "pass,elapsed_ms,objective,residual" + (",gap" if gap else ""),
+            "1,1.500,2.0,0.1" + tail,
+            "2,12.346,0.3333333333333333,1e-17" + tail]
+
+
 class TestCli:
     def test_run_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -309,6 +347,20 @@ class TestCli:
                      flag, value, "--out", str(out)])
         assert code == 2
         assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "generate"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--gl-samples", "0"), ("--gl-active", "-3"), ("--gl-active", "nan"),
+        ("--gl-noise", "nan"), ("--gl-noise", "-1")])
+    def test_bad_group_lasso_flag_exits_2_without_output(self, tmp_path, capsys, command,
+                                                         flag, value):
+        out = tmp_path / "out"
+        argv = [command, "--problem", "group-lasso", "--gl-samples", "30", flag, value,
+                "--out", str(out)]
+        assert main(argv + (["--passes", "2"] if command == "run" else [])) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} must" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_config_error_exits_2(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from sepsaddle.matrices import (
     block_coords,
     DenseCoupling,
     DenseMatrix,
+    IdentityStackCoupling,
     SparseCoupling,
     _add_slot_rows,
     spectral_norm_estimate,
@@ -580,3 +581,44 @@ class TestSparseCoupling:
         one = a[:1]
         assert np.array_equal(bits(_add_slot_rows(one)),
                               bits(np.add.reduce(one, axis=0, initial=0.0)))
+
+
+class TestFullProducts:
+    """A x and A^T y are the products of the column set of every block,
+    gathered once."""
+
+    @pytest.mark.parametrize("store", ["dense", "sparse", "identity"])
+    def test_are_the_all_block_column_set(self, rng, store):
+        A = rng.standard_normal((4, 7)) * (rng.uniform(size=(4, 7)) < 0.5)
+        P = BlockPartition([2, 1, 3, 1])
+        if store == "identity":
+            coupling, A = IdentityStackCoupling(4, 3), identity_stack(4, 3).values
+        else:
+            coupling = DenseCoupling(DenseMatrix(A), P) if store == "dense" else sparse_coupling(A, P)
+        everything = coupling.gather(np.arange(coupling.num_blocks))
+        x, y = rng.standard_normal(coupling.n), rng.standard_normal(coupling.m)
+        for got, want in ((coupling.matvec(x), everything.matvec(x)),
+                          (coupling.rmatvec(y), everything.rmatvec(y))):
+            assert got.dtype == np.float64
+            assert np.array_equal(bits(got), bits(want))
+        assert np.allclose(coupling.matvec(x), A @ x, rtol=1e-14, atol=1e-14)
+        assert np.allclose(coupling.rmatvec(y), A.T @ y, rtol=1e-14, atol=1e-14)
+        # integer lists are taken as float64 vectors
+        for got, want in ((coupling.matvec([1] * coupling.n), A.sum(axis=1)),
+                          (coupling.rmatvec([1] * coupling.m), A.sum(axis=0))):
+            assert got.dtype == np.float64 and np.allclose(got, want, atol=1e-14)
+        assert coupling._all_columns is coupling._all_columns
+
+    def test_dense_set_is_a_view(self, rng):
+        coupling = DenseCoupling(DenseMatrix(rng.standard_normal((3, 5))), BlockPartition([2, 3]))
+        assert np.shares_memory(coupling._all_columns.values, coupling.matrix.values)
+
+    def test_sparse_set_is_the_stored_slot_rows(self, rng):
+        """The full set holds the stored global column ids: no second
+        (W, m) array."""
+        A = rng.standard_normal((4, 7)) * (rng.uniform(size=(4, 7)) < 0.5)
+        coupling = sparse_coupling(A, BlockPartition([2, 1, 3, 1]))
+        full = coupling._all_columns
+        assert full.index == slice(0, 7) and full.width == 7
+        assert full.cols is coupling.cols
+        assert full.vals is coupling.vals and full.abs_vals is coupling.abs_vals

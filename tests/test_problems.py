@@ -205,6 +205,14 @@ class TestGenGroupLasso:
             block = features.values[:, offsets[g]:offsets[g + 1]]
             assert np.array_equal(block.sum(axis=1), np.ones(50))
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_samples", 0), ("active_fraction", -3.0), ("active_fraction", 0.0),
+        ("active_fraction", 1.5), ("active_fraction", float("nan")),
+        ("label_noise", -1.0), ("label_noise", float("nan")), ("label_noise", float("inf"))])
+    def test_rejects_bad_settings(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            gen_group_lasso(seed=1, **{"n_samples": 30, key: value})
+
     def test_class_balance(self):
         rates = []
         for seed in range(8):

@@ -17,7 +17,6 @@ from sepsaddle.functions import (
     NuclearBlock,
     QuadraticBlock,
     QuadraticDual,
-    ZeroBlock,
 )
 from sepsaddle.matrices import (
     BlockPartition,
@@ -165,7 +164,7 @@ class TestStepsizeConfig:
         A = rng.standard_normal((4, 6))
         inst = SepCCSPInstance(
             coupling=DenseCoupling(DenseMatrix(A), BlockPartition([2, 2, 2])),
-            block_fns=(ZeroBlock(),) * 3,
+            block_fns=(L1Block(0.0),) * 3,
             dual_fn=QuadraticDual(np.zeros(4)),
             primal_objective=lambda x: 0.0,
             residual_kind="suboptimality",
@@ -264,7 +263,7 @@ class TestPrimalBlockStep:
         A = rng.standard_normal((3, 4))
         inst = SepCCSPInstance(
             coupling=DenseCoupling(DenseMatrix(A), BlockPartition([2, 2])),
-            block_fns=(ZeroBlock(), ZeroBlock()),
+            block_fns=(L1Block(0.0), L1Block(0.0)),
             dual_fn=QuadraticDual(np.zeros(3)),
             primal_objective=lambda x: 0.0,
             residual_kind="suboptimality",
@@ -618,8 +617,8 @@ def property_instance(kind, gen):
         B = gen.standard_normal((3, 4))
         return make_rpca(B, *rpca_default_penalties(B))
     # every function class, interleaved, so selections mix them
-    block_fns = (ZeroBlock(), QuadraticBlock(), GroupL2Block(0.2), QuadraticBlock(),
-                 NuclearBlock(0.3, 2, 2), ZeroBlock(), L1Block(0.1), GroupL2Block(0.4))
+    block_fns = (L1Block(0.0), QuadraticBlock(), GroupL2Block(0.2), QuadraticBlock(),
+                 NuclearBlock(0.3, 2, 2), L1Block(0.0), L1Block(0.1), GroupL2Block(0.4))
     sizes = (2, 1, 3, 2, 4, 1, 2, 2)
     A = gen.standard_normal((4, sum(sizes)))
     return SepCCSPInstance(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sepsaddle.errors import ConvergenceError
-from sepsaddle.functions import ZeroBlock
+from sepsaddle.functions import L1Block
 from sepsaddle.matrices import BlockPartition
 from sepsaddle.problems import (
     gen_group_lasso,
@@ -41,11 +41,11 @@ class TestGoldenSection:
 class TestProxOracle:
     def test_zero_function_identity_metric(self, rng):
         v = rng.standard_normal(3)
-        assert np.allclose(prox_oracle(ZeroBlock(), v, 1.0), v, atol=1e-9)
+        assert np.allclose(prox_oracle(L1Block(0.0), v, 1.0), v, atol=1e-9)
 
     def test_refuses_high_dimension(self, rng):
         with pytest.raises(ValueError, match="dimension"):
-            prox_oracle(ZeroBlock(), rng.standard_normal(5), 1.0)
+            prox_oracle(L1Block(0.0), rng.standard_normal(5), 1.0)
 
     def test_respects_domain(self):
         out = prox_oracle(lambda x: float(-5.0 * x.sum()), np.array([0.5]), 1.0,
