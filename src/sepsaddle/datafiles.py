@@ -18,30 +18,40 @@ from .errors import FormatError
 from .matrices import BlockPartition, DenseMatrix
 
 
+def _lines(path, comments: bool = False):
+    """(line number, stripped line) for the nonblank lines of the ASCII
+    text file ``path``, skipping ``#`` lines where ``comments``. A line with
+    a byte that is not ASCII (a UTF-8 byte-order mark, say) is a
+    ``FormatError`` naming the file and the line."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                raise FormatError("not ASCII text", line=lineno, path=path)
+            line = raw.strip()
+            if line and not (comments and line.startswith("#")):
+                yield lineno, line
+
+
 def load_matrix_csv(path) -> DenseMatrix:
     """Comma-separated numeric rows of uniform width."""
     rows = []
     width = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise FormatError(f"expected {width} columns, found {len(parts)} in {path}",
-                                  line=lineno)
-            try:
-                row = [float(p) for p in parts]
-            except ValueError as exc:
-                raise FormatError(f"non-numeric entry in {path} ({exc})", line=lineno) from None
-            if not all(map(math.isfinite, row)):
-                raise FormatError(f"non-finite entry in {path}", line=lineno)
-            rows.append(row)
+    for lineno, line in _lines(path):
+        parts = line.split(",")
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width:
+            raise FormatError(f"expected {width} columns, found {len(parts)}",
+                              line=lineno, path=path)
+        try:
+            row = [float(p) for p in parts]
+        except ValueError as exc:
+            raise FormatError(f"non-numeric entry ({exc})", line=lineno, path=path) from None
+        if not all(map(math.isfinite, row)):
+            raise FormatError("non-finite entry", line=lineno, path=path)
+        rows.append(row)
     if not rows:
-        raise FormatError(f"{path}: empty matrix file")
+        raise FormatError("empty matrix file", path=path)
     return DenseMatrix(rows)
 
 
@@ -62,38 +72,35 @@ def load_libsvm(path, num_features: int | None = None):
     labels = []
     entries = []
     max_index = 0
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+    for lineno, line in _lines(path, comments=True):
+        parts = line.split()
+        try:
+            labels.append(float(parts[0]))
+        except ValueError:
+            raise FormatError(f"bad label {parts[0]!r}", line=lineno, path=path) from None
+        row = {}
+        for token in parts[1:]:
             try:
-                labels.append(float(parts[0]))
+                idx_text, val_text = token.split(":", 1)
+                idx = int(idx_text)
+                val = float(val_text)
             except ValueError:
-                raise FormatError(f"bad label {parts[0]!r}", line=lineno) from None
-            row = {}
-            for token in parts[1:]:
-                try:
-                    idx_text, val_text = token.split(":", 1)
-                    idx = int(idx_text)
-                    val = float(val_text)
-                except ValueError:
-                    raise FormatError(f"bad feature token {token!r}", line=lineno) from None
-                if idx < 1:
-                    raise FormatError(f"indices are 1-based, got {idx}", line=lineno)
-                if not math.isfinite(val):
-                    raise FormatError(f"non-finite value in {token!r}", line=lineno)
-                if idx in row:
-                    raise FormatError(f"feature index {idx} repeated", line=lineno)
-                row[idx] = val
-                max_index = max(max_index, idx)
-            entries.append(row)
+                raise FormatError(f"bad feature token {token!r}", line=lineno, path=path) from None
+            if idx < 1:
+                raise FormatError(f"indices are 1-based, got {idx}", line=lineno, path=path)
+            if num_features is not None and idx > num_features:
+                raise FormatError(f"feature index {idx} exceeds width {num_features}",
+                                  line=lineno, path=path)
+            if not math.isfinite(val):
+                raise FormatError(f"non-finite value in {token!r}", line=lineno, path=path)
+            if idx in row:
+                raise FormatError(f"feature index {idx} repeated", line=lineno, path=path)
+            row[idx] = val
+            max_index = max(max_index, idx)
+        entries.append(row)
     if not entries:
-        raise FormatError(f"{path}: empty libsvm file")
+        raise FormatError("empty libsvm file", path=path)
     width = num_features if num_features is not None else max_index
-    if max_index > width:
-        raise FormatError(f"{path}: feature index {max_index} exceeds width {width}")
     data = np.zeros((len(entries), width))
     for i, row in enumerate(entries):
         for idx, val in row.items():
@@ -122,15 +129,11 @@ def write_meta(path, meta: dict) -> None:
 
 def read_meta(path) -> dict:
     meta = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError("expected 'key = value'", line=lineno)
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
+    for lineno, line in _lines(path, comments=True):
+        if "=" not in line:
+            raise FormatError("expected 'key = value'", line=lineno, path=path)
+        key, _, value = line.partition("=")
+        meta[key.strip()] = value.strip()
     return meta
 
 
@@ -150,7 +153,7 @@ def load_problem_dir(path):
     meta = read_meta(root / "meta.txt")
     kind = meta.pop("problem", None)
     if kind is None:
-        raise FormatError(f"{root}/meta.txt: missing 'problem' key")
+        raise FormatError("missing 'problem' key", path=root / "meta.txt")
     arrays = {}
     for csv_path in sorted(root.glob("*.csv")):
         arrays[csv_path.stem] = load_matrix_csv(csv_path)

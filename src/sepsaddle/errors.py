@@ -6,17 +6,21 @@ class ConfigError(ValueError):
 
 
 class FormatError(ValueError):
-    """A data file is malformed; carries the offending line number."""
+    """A data file is malformed; carries the file and the offending line
+    number, which the message names when they are given."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
+        self.path = path
 
 
 class NumericsError(RuntimeError):
-    """A numeric routine failed (non-finite iterates, SVD breakdown, ...)."""
+    """A numeric routine failed (non-finite iterates, eigh breakdown, ...)."""
 
 
 class ConvergenceError(RuntimeError):

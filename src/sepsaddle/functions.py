@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import block_coords
+from .matrices import block_coords, smaller_gram
 from .prox import (
     dual_resolvent_box_linear,
     dual_resolvent_linear,
@@ -95,7 +95,18 @@ class QuadraticBlock:
 
 @dataclass(frozen=True)
 class NuclearBlock:
-    """f(X) = weight * ||X||_* on a vectorized (rows x cols) matrix block."""
+    """f(X) = weight * ||X||_* on a vectorized (rows x cols) matrix block.
+
+    The value takes no SVD: the singular values are the square roots of the
+    eigenvalues of the Gram matrix of the smaller side (r = min(rows, cols)),
+    formed after scaling X by its largest |entry| so that no finite input
+    overflows or underflows. Eigenvalues at or below r*eps*lambda_max are
+    rounding noise and are dropped, as in ``prox.prox_nuclear``. Each
+    eigenvalue is exact to about r*eps*||X||_2^2, so a singular value is off
+    by at most sqrt(2*r*eps)*||X||_2 and the sum by r times that; a singular
+    value above sqrt(eps)*||X||_2 keeps near full relative accuracy. A zero
+    block has value 0.0, and one with a NaN or an infinite entry NaN.
+    """
 
     weight: float
     rows: int
@@ -109,8 +120,15 @@ class NuclearBlock:
         return np.asarray(x, dtype=float).reshape(self.rows, self.cols)
 
     def value(self, x) -> float:
-        s = np.linalg.svd(self._mat(x), compute_uv=False)
-        return self.weight * float(s.sum())
+        X = self._mat(x)
+        scale = float(np.abs(X).max())
+        if not math.isfinite(scale):
+            return math.nan
+        if scale == 0.0:
+            return 0.0
+        lam = np.linalg.eigvalsh(smaller_gram(X / scale))
+        keep = lam > min(X.shape) * np.finfo(float).eps * lam[-1]
+        return self.weight * scale * float(np.sqrt(lam[keep]).sum())
 
     def prox(self, v, h) -> np.ndarray:
         tau = self.weight / _scalar_metric(h)

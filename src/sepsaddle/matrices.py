@@ -235,9 +235,15 @@ class Coupling:
         return tuple(_gram_norm(self.block(j)) for j in range(self.num_blocks))
 
 
+def smaller_gram(B: np.ndarray) -> np.ndarray:
+    """The Gram matrix of the smaller side of B: B^T B when B has no more
+    columns than rows, else B B^T. Its eigenvalues are the squared singular
+    values of B."""
+    return B.T @ B if B.shape[1] <= B.shape[0] else B @ B.T
+
+
 def _gram_norm(B: np.ndarray) -> float:
-    G = B.T @ B if B.shape[1] <= B.shape[0] else B @ B.T
-    return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
+    return float(np.sqrt(max(np.linalg.eigvalsh(smaller_gram(B))[-1], 0.0)))
 
 
 class DenseColumns:
@@ -464,8 +470,11 @@ class SparseCoupling(Coupling):
         """The slot rows of A_S for the sorted, distinct ``blocks``: views
         when they are consecutive, otherwise one gather. Column ids are local
         to a single block; for several blocks, each block's position among
-        S's coordinates is added to them."""
+        S's coordinates is added to them. All blocks are the cached
+        ``_all_columns``, whose stored global ids are those positions."""
         blocks = np.asarray(blocks)
+        if blocks.size == self.num_blocks:
+            return self._all_columns
         index = block_coords(self.partition.offset_array, blocks)
         slots = block_coords(self.slot_offsets, blocks)
         cols = self.local_cols[slots]

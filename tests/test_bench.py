@@ -640,6 +640,16 @@ class TestMalformedProblemDir:
         assert "line 2" in err and "A.csv" in err and problem in err
 
 
+    def test_byte_order_mark_names_file_and_line(self, tmp_path, capsys):
+        """A UTF-8 byte-order mark in b.csv exits 2 with the file and the
+        line, not the codec's message."""
+        root = self.generate(tmp_path, "lasso")
+        path = root / "b.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code, err = self.run_dir(root, capsys)
+        assert code == 2
+        assert f"{path}: line 1: not ASCII text" in err and "codec" not in err
+
 class TestPackage:
     def test_every_export_resolves(self):
         for name in sepsaddle.__all__:

@@ -622,3 +622,15 @@ class TestFullProducts:
         assert full.index == slice(0, 7) and full.width == 7
         assert full.cols is coupling.cols
         assert full.vals is coupling.vals and full.abs_vals is coupling.abs_vals
+
+    def test_sparse_gather_of_every_block_is_the_full_set(self, rng):
+        """A gather of all J blocks (the engine at K = J) returns the cached
+        full set, whose global column ids are what a gather would build:
+        each block's local ids shifted by its first column."""
+        A = rng.standard_normal((4, 7)) * (rng.uniform(size=(4, 7)) < 0.5)
+        P = BlockPartition([2, 1, 3, 1])
+        coupling = sparse_coupling(A, P)
+        assert coupling.gather(np.arange(4)) is coupling._all_columns
+        widths = np.diff(coupling.slot_offsets)
+        shift = np.repeat(P.offset_array[:-1], widths)[:, None]
+        assert np.array_equal(coupling.local_cols + shift, coupling.cols)
