@@ -5,8 +5,9 @@ Matrices are float64 and immutable after construction. A ``DenseMatrix``
 keeps the layout it was built with (C order by default). Every coupling is a
 ``Coupling``: a partition into column blocks plus the column-set operations
 ``gather`` (A_S for a set S of blocks, with A_S^T y, A_S v and the row
-absolute sums of A_S), the full products (those of the set of all blocks),
-and the stepsize quantities (column absolute sums, block norms, spectral norm).
+absolute sums of A_S; each one-block set and the set of all blocks are built
+once and cached), the full products (those of the set of all blocks), and
+the stepsize quantities (column absolute sums, block norms, spectral norm).
 ``DenseCoupling`` stores its matrix column-major, so a single block and any
 run of consecutive blocks are views and a scattered set of blocks is one
 gather of their columns; ``SparseCoupling`` stores each block's nonzeros as
@@ -190,12 +191,13 @@ class Coupling:
     """A coupling operator over column blocks: the one interface the block
     engine and the baselines use.
 
-    A subclass sets ``partition`` and ``m`` and supplies ``gather(blocks)``
+    A subclass sets ``partition`` and ``m`` and supplies ``_gather(blocks)``
     (the columns of sorted, distinct blocks, with ``index``, ``rmatvec``,
     ``matvec`` and ``row_abs_sums``, each returning a new float64 array
     that the caller may overwrite), ``col_abs_sums`` and ``spectral_norm``,
     and either ``block(j)`` (block j as a dense array) or its own
-    ``block_norms``. A x and A^T y are the products of the set of all blocks.
+    ``block_norms``. ``gather`` builds each one-block set and the set of
+    all blocks once; A x and A^T y are the products of the latter.
     """
 
     partition: BlockPartition
@@ -212,10 +214,31 @@ class Coupling:
     def block_slice(self, j: int) -> slice:
         return self.partition.slice_of(j)
 
+    def gather(self, blocks):
+        """The column set A_S of the sorted, distinct ``blocks``. A single
+        block's set is built on first use and cached (its arrays are
+        read-only views of the store), all blocks' is ``_all_columns``, and
+        any other set is gathered anew by ``_gather``."""
+        blocks = np.asarray(blocks)
+        if blocks.size == 1:
+            j = blocks.item()
+            columns = self._block_columns.get(j)
+            if columns is None:
+                columns = self._block_columns[j] = self._gather(blocks)
+            return columns
+        if blocks.size == self.num_blocks:
+            return self._all_columns
+        return self._gather(blocks)
+
+    @cached_property
+    def _block_columns(self) -> dict:
+        """The one-block column sets built so far, by block index."""
+        return {}
+
     @cached_property
     def _all_columns(self):
         """The column set of every block, gathered once."""
-        return self.gather(np.arange(self.num_blocks))
+        return self._gather(np.arange(self.num_blocks))
 
     def matvec(self, x) -> np.ndarray:
         return self._all_columns.matvec(np.asarray(x, dtype=float))
@@ -246,18 +269,15 @@ def _gram_norm(B: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(smaller_gram(B))[-1], 0.0)))
 
 
-class DenseColumns:
+class DenseColumns(NamedTuple):
     """The columns A_S of a set S of blocks, gathered once for both products
     and the dual stepsize rule.
 
     ``index`` selects S's coordinates of a primal vector, in block order.
     """
 
-    __slots__ = ("index", "values")
-
-    def __init__(self, values: np.ndarray, index):
-        self.values = values
-        self.index = index
+    index: object
+    values: np.ndarray
 
     def rmatvec(self, y) -> np.ndarray:
         """A_S^T y."""
@@ -297,11 +317,11 @@ class DenseCoupling(Coupling):
     def block(self, j: int) -> np.ndarray:
         return self.matrix.values[:, self.partition.slice_of(j)]
 
-    def gather(self, blocks) -> DenseColumns:
+    def _gather(self, blocks) -> DenseColumns:
         """A_S for the sorted, distinct ``blocks``: a view when they are
         consecutive, otherwise one gather of their columns."""
         index = block_coords(self.partition.offset_array, blocks)
-        return DenseColumns(self.matrix.values[:, index], index)
+        return DenseColumns(index, self.matrix.values[:, index])
 
     @cached_property
     def col_abs_sums(self) -> np.ndarray:
@@ -466,15 +486,12 @@ class SparseCoupling(Coupling):
             out[k, cols] += vals  # padding adds 0
         return out
 
-    def gather(self, blocks) -> SparseColumns:
+    def _gather(self, blocks) -> SparseColumns:
         """The slot rows of A_S for the sorted, distinct ``blocks``: views
         when they are consecutive, otherwise one gather. Column ids are local
         to a single block; for several blocks, each block's position among
-        S's coordinates is added to them. All blocks are the cached
-        ``_all_columns``, whose stored global ids are those positions."""
+        S's coordinates is added to them."""
         blocks = np.asarray(blocks)
-        if blocks.size == self.num_blocks:
-            return self._all_columns
         index = block_coords(self.partition.offset_array, blocks)
         slots = block_coords(self.slot_offsets, blocks)
         cols = self.local_cols[slots]
@@ -507,18 +524,15 @@ class SparseCoupling(Coupling):
                 f"nnz={np.count_nonzero(self.vals)})")
 
 
-class StackColumns:
+class StackColumns(NamedTuple):
     """The columns of ``count`` identity blocks of size m: A_S = [I ... I].
 
     ``index`` selects their coordinates of a primal vector, in block order.
     """
 
-    __slots__ = ("index", "count", "m")
-
-    def __init__(self, index, count: int, m: int):
-        self.index = index
-        self.count = count
-        self.m = m
+    index: object
+    count: int
+    m: int
 
     def rmatvec(self, y) -> np.ndarray:
         """A_S^T y: y once per block."""
@@ -545,7 +559,7 @@ class IdentityStackCoupling(Coupling):
         self.m = int(m)
         self.partition = BlockPartition([self.m] * int(num_blocks))
 
-    def gather(self, blocks) -> StackColumns:
+    def _gather(self, blocks) -> StackColumns:
         """A_S for the sorted, distinct ``blocks``."""
         index = block_coords(self.partition.offset_array, blocks)
         return StackColumns(index, len(blocks), self.m)

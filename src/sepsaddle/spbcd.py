@@ -1,17 +1,20 @@
 """Stochastic parallel block-coordinate primal-dual engine.
 
-One iteration: sample K of the J blocks, solve the selected blocks' prox
+One iteration: take K of the J blocks, solve the selected blocks' prox
 subproblems against the current dual, extrapolate them, then take one dual
 resolvent step at the variance-reduced linearization point
 
     u = r_bar + (J/K) * sum_{j in S} A_j (x_bar_j^new - x_bar_j^old),
 
-and finally refresh the running sum r_bar = sum_j A_j x_bar_j.
+and finally refresh the running sum r_bar = sum_j A_j x_bar_j in place.
+A pass of ceil(J/K) iterations draws all of its block sets at once
+(``sample_blocks``) and hands one to each ``iterate``.
 
 The selected blocks are handled as one column set S: one gather of A_S, one
 product A_S^T y, one prox call per block-function class (``BlockProx``) and
 one product A_S (x_bar_S^new - x_bar_S^old). The adaptive dual penalties are
-summed from the same gathered columns.
+summed from the same gathered columns. A one-block column set is views of the
+coupling's store, built once per block and cached by ``Coupling.gather``.
 
 Every iteration first checks that the state is finite
 (``SolverState.validate``): one sum of the four squared norms, which is
@@ -19,7 +22,10 @@ finite unless an entry is NaN or +-inf or the squares overflow; only then
 does an exact scan run, to name the vector or to let a large finite state
 pass.
 
-Determinism contract: sampling on the run thread, one fixed-order product.
+Determinism contract: one draw per pass, on the run thread, and one
+fixed-order product. The draw gives the same block sets as one sorted
+``rng.choice`` per iteration, and below K = J leaves the generator in the
+same state.
 The engine runs on one thread; ``workers`` is validated and recorded but
 selects no code path, so traces are bit-identical for any worker count.
 """
@@ -164,12 +170,28 @@ def lift_nonseparable(instance, h: np.ndarray) -> np.ndarray:
     return h
 
 
-def sample_blocks(rng: np.random.Generator, J: int, K: int) -> np.ndarray:
-    """A uniformly random size-K subset of {0..J-1}, sorted ascending."""
+def sample_blocks(rng: np.random.Generator, J: int, K: int, count: int) -> np.ndarray:
+    """``count`` independent, uniformly random size-K subsets of {0..J-1},
+    each sorted ascending: the rows of a (count, K) array.
+
+    The rows are those of ``count`` calls of ``rng.choice(J, size=K,
+    replace=False)``, each sorted. At K = 1 that call draws one bounded
+    integer (Lemire's method), as ``rng.integers(0, J)`` does, so all rows
+    are one ``rng.integers`` call and leave the generator in the same state.
+    At K = J every row is all blocks, and nothing is drawn. Any other K
+    takes one ``choice`` per row.
+    """
     if not 1 <= K <= J:
         raise ValueError(f"need 1 <= K <= J={J}, got K={K}")
-    blocks = rng.choice(J, size=K, replace=False)
-    return blocks if K == 1 else np.sort(blocks)
+    if K == 1:
+        return rng.integers(0, J, size=(count, 1))
+    if K == J:
+        return np.broadcast_to(np.arange(J), (count, J))
+    blocks = np.empty((count, K), dtype=np.int64)
+    for row in blocks:
+        row[:] = rng.choice(J, size=K, replace=False)
+    blocks.sort(axis=1)
+    return blocks
 
 
 def compute_sigma_t(coupling, blocks, K: int, J: int, rule: str = "adaptive-l1", *,
@@ -214,16 +236,14 @@ def dual_step(instance, state: SolverState, blocks, sigma_t, delta_bar) -> np.nd
 
 
 def iterate(instance, state: SolverState, config: StepsizeConfig,
-            rng: np.random.Generator) -> SolverState:
-    """One full iteration (Algorithm box): sample, primal steps + extrapolate,
-    adaptive dual step, cache refresh.
+            blocks: np.ndarray) -> SolverState:
+    """One full iteration (Algorithm box) on the sorted, distinct ``blocks``:
+    primal steps + extrapolate, adaptive dual step, cache refresh.
 
-    The sampled blocks are one column set S: x_S and x_bar_S are updated
-    through S's coordinates, with one ``BlockProx`` call for their prox.
+    The blocks are one column set S: x_S and x_bar_S are updated through S's
+    coordinates, with one ``BlockProx`` call for their prox.
     """
     state.validate()
-    blocks = sample_blocks(rng, config.J, config.K)
-
     columns = instance.coupling.gather(blocks)
     index = columns.index
     h = config.h[index]
@@ -239,7 +259,7 @@ def iterate(instance, state: SolverState, config: StepsizeConfig,
     state.x[index] = x_new
     state.x_bar[index] = xb_new
     state.y = y_new
-    state.r_bar = state.r_bar + delta_bar
+    state.r_bar += delta_bar
     state.t += 1
     return state
 
@@ -285,13 +305,14 @@ def timed_passes(step, state, passes: int, metric_callback=None):
 
 def pass_step(instance, config: StepsizeConfig, rng: np.random.Generator,
               rbar_check_interval: int = RBAR_CHECK_INTERVAL):
-    """One pass of ``iterate`` as a function of the state; the r_bar drift is
-    held to ``RBAR_TOL`` every ``rbar_check_interval`` iterations."""
+    """One pass of ``iterate`` as a function of the state: the pass's block
+    sets are drawn first, in one ``sample_blocks`` call, and the r_bar drift
+    is held to ``RBAR_TOL`` every ``rbar_check_interval`` iterations."""
     per_pass = iterations_per_pass(config.J, config.K)
 
     def one_pass(state):
-        for _ in range(per_pass):
-            iterate(instance, state, config, rng)
+        for blocks in sample_blocks(rng, config.J, config.K, per_pass):
+            iterate(instance, state, config, blocks)
             if state.t % rbar_check_interval == 0:
                 drift = rbar_drift(instance, state)
                 if drift > RBAR_TOL:
@@ -312,7 +333,7 @@ def run(instance, config: StepsizeConfig, pass_budget: int, metric_callback=None
     its return values form the trace. Callback or numeric failures, and an
     r_bar drift above ``RBAR_TOL`` at a check, raise ``RunAborted`` carrying
     the partial trace. The PCG64 generator seeded here is the only randomness
-    in the run.
+    in the run; each pass draws its block sets from it once.
 
     ``workers`` must be >= 1 and selects no code path: every iteration runs
     on the calling thread. A two-worker pool over the unbatched (nuclear)

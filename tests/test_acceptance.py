@@ -97,12 +97,11 @@ def test_criterion_02_deterministic_gap_bound(theorem_fixture):
     m0 = compute_M0(inst, np.zeros(J), np.zeros(inst.m), saddle,
                     config.h, sigma0, J, J)
     state = initial_state(inst)
-    rng = np.random.Generator(np.random.PCG64(0))
     sum_x = np.zeros(J)
     sum_y = np.zeros(inst.m)
     worst_excess = -np.inf
     for T in range(1, 1001):
-        iterate(inst, state, config, rng)
+        iterate(inst, state, config, np.arange(J))
         sum_x += state.x
         sum_y += state.y
         gap = (inst.lagrangian(sum_x / T, saddle.y_star)
@@ -120,16 +119,15 @@ def test_criterion_03_stochastic_gap_bound(theorem_fixture):
     gaps = np.empty(200)
     bounds = np.empty(200)
     for seed in range(200):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        first_blocks = sample_blocks(np.random.Generator(np.random.PCG64(seed)), J, K)
-        sigma0 = compute_sigma_t(inst.coupling, first_blocks, K, J)
+        draws = sample_blocks(np.random.Generator(np.random.PCG64(seed)), J, K, T)
+        sigma0 = compute_sigma_t(inst.coupling, draws[0], K, J)
         bounds[seed] = compute_M0(inst, np.zeros(J), np.zeros(inst.m), saddle,
                                   config.h, sigma0, K, J)
         state = initial_state(inst)
         sum_x = np.zeros(J)
         sum_y = np.zeros(inst.m)
-        for _ in range(T):
-            iterate(inst, state, config, rng)
+        for blocks in draws:
+            iterate(inst, state, config, blocks)
             sum_x += state.x
             sum_y += state.y
         gaps[seed] = (inst.lagrangian(sum_x / T, saddle.y_star)

@@ -414,6 +414,12 @@ def slot_matrices(draw, single_slot):
     return A, P, blocks, gen
 
 
+def same_bits(got, want):
+    """Equal dtype, shape and bit patterns (8-byte entries)."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
 def operand(gen, size):
     """Random entries with some +0.0 and -0.0, so products of either sign
     of zero occur."""
@@ -634,3 +640,52 @@ class TestFullProducts:
         widths = np.diff(coupling.slot_offsets)
         shift = np.repeat(P.offset_array[:-1], widths)[:, None]
         assert np.array_equal(coupling.local_cols + shift, coupling.cols)
+
+
+def coupling_of(store, rng):
+    """A small coupling of each kind, with its dense matrix."""
+    if store == "identity":
+        return IdentityStackCoupling(4, 3), identity_stack(4, 3).values
+    A = rng.standard_normal((4, 7)) * (rng.uniform(size=(4, 7)) < 0.5)
+    P = BlockPartition([2, 1, 3, 1])
+    return (DenseCoupling(DenseMatrix(A), P) if store == "dense" else sparse_coupling(A, P)), A
+
+
+class TestGatherDispatch:
+    """``gather`` builds each one-block column set once, returns the cached
+    full set for all blocks, and gathers any other set anew."""
+
+    @pytest.mark.parametrize("store", ["dense", "sparse", "identity"])
+    def test_one_block_set_is_cached_read_only_and_the_fresh_gather(self, rng, store):
+        coupling, A = coupling_of(store, rng)
+        P = coupling.partition
+        y = operand(rng, coupling.m)
+        for j in range(coupling.num_blocks):
+            columns = coupling.gather(np.array([j]))
+            assert coupling.gather(np.array([j])) is columns
+            assert coupling.gather([j]) is columns
+            with pytest.raises(AttributeError):
+                columns.index = slice(0, 0)
+            fresh = coupling._gather(np.array([j]))
+            assert fresh is not columns and type(fresh) is type(columns)
+            for got, want in zip(columns, fresh):
+                if isinstance(want, np.ndarray):
+                    assert same_bits(got, want) and not got.flags.writeable
+                else:
+                    assert got == want
+            assert columns.index == P.slice_of(j)
+            v = operand(rng, P.block_sizes[j])
+            for got, want in ((columns.rmatvec(y), fresh.rmatvec(y)),
+                              (columns.matvec(v), fresh.matvec(v)),
+                              (columns.row_abs_sums(), fresh.row_abs_sums())):
+                assert same_bits(got, want)
+            assert np.allclose(columns.matvec(v), A[:, P.slice_of(j)] @ v, rtol=1e-14, atol=1e-14)
+        if store == "dense":
+            assert np.shares_memory(columns.values, coupling.matrix.values)
+
+    @pytest.mark.parametrize("store", ["dense", "sparse", "identity"])
+    def test_all_blocks_are_the_full_set_and_others_are_new(self, rng, store):
+        coupling, _ = coupling_of(store, rng)
+        assert coupling.gather(np.arange(coupling.num_blocks)) is coupling._all_columns
+        pair = coupling.gather(np.array([0, 2]))
+        assert coupling.gather(np.array([0, 2])) is not pair

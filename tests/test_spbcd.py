@@ -109,46 +109,54 @@ def reference_iterate(instance, state, config, blocks):
     return state
 
 
-class Draws:
-    """Stands in for the generator so that ``iterate`` takes chosen
-    selections (``sample_blocks`` sorts what ``choice`` returns)."""
-
-    def __init__(self, selections):
-        self._selections = iter(selections)
-
-    def choice(self, J, size, replace):
-        return np.array(next(self._selections))
-
-
 class TestSampleBlocks:
     def test_full_set(self, rng):
-        for _ in range(5):
-            assert np.array_equal(sample_blocks(rng, 4, 4), [0, 1, 2, 3])
+        assert np.array_equal(sample_blocks(rng, 4, 4, 5), [[0, 1, 2, 3]] * 5)
 
     def test_sorted_and_distinct(self, rng):
-        for _ in range(100):
-            s = sample_blocks(rng, 10, 4)
-            assert np.all(np.diff(s) > 0)
+        blocks = sample_blocks(rng, 10, 4, 100)
+        assert blocks.shape == (100, 4)
+        assert np.all(np.diff(blocks, axis=1) > 0)
 
     def test_marginal_frequencies(self):
         rng = np.random.Generator(np.random.PCG64(7))
-        counts = np.zeros(3)
         draws = 30_000
-        for _ in range(draws):
-            counts[sample_blocks(rng, 3, 1)[0]] += 1
+        counts = np.bincount(sample_blocks(rng, 3, 1, draws)[:, 0], minlength=3)
         assert np.all(np.abs(counts / draws - 1 / 3) <= 0.01)
 
     def test_same_seed_same_sequence(self):
         a = np.random.Generator(np.random.PCG64(5))
         b = np.random.Generator(np.random.PCG64(5))
         for _ in range(50):
-            assert np.array_equal(sample_blocks(a, 7, 3), sample_blocks(b, 7, 3))
+            assert np.array_equal(sample_blocks(a, 7, 3, 2), sample_blocks(b, 7, 3, 2))
 
     def test_rejects_bad_K(self, rng):
         with pytest.raises(ValueError):
-            sample_blocks(rng, 3, 4)
+            sample_blocks(rng, 3, 4, 1)
         with pytest.raises(ValueError):
-            sample_blocks(rng, 3, 0)
+            sample_blocks(rng, 3, 0, 1)
+
+    # numpy (2.4) draws ``choice(J, K, replace=False)`` by Floyd's method
+    # when J <= 10,000 or K <= J // 50, and by a tail shuffle otherwise.
+    @pytest.mark.parametrize("J, K", [(1, 1), (2, 1), (3, 1), (63, 1), (5000, 1), (2 ** 20, 1),
+                                      (4, 4), (63, 63),
+                                      (63, 3), (5000, 100),  # Floyd's method
+                                      (10_001, 201)])  # tail shuffle
+    def test_same_sets_and_generator_state_as_choice(self, J, K):
+        """50 draws of up to a pass each hold, row by row, the sets of one
+        sorted ``rng.choice`` per iteration, and leave the generator where
+        those calls leave it; at K = J the generator is not touched."""
+        fast = np.random.Generator(np.random.PCG64(2024))
+        slow = np.random.Generator(np.random.PCG64(2024))
+        untouched = np.random.Generator(np.random.PCG64(2024)).bit_generator.state
+        count = min(iterations_per_pass(J, K), 100)
+        for _ in range(50):
+            want = [np.sort(slow.choice(J, size=K, replace=False)) for _ in range(count)]
+            assert np.array_equal(sample_blocks(fast, J, K, count), want)
+        if K == J and J > 1:
+            assert fast.bit_generator.state == untouched
+        else:
+            assert fast.bit_generator.state == slow.bit_generator.state
 
 
 class TestStepsizeConfig:
@@ -385,14 +393,14 @@ class TestIterate:
         config = StepsizeConfig.for_instance(inst, K=2)
         assert np.allclose(config.h, [1.0, 3.0])
         state = initial_state(inst)
-        rng = np.random.Generator(np.random.PCG64(0))
+        blocks = np.arange(2)
 
-        iterate(inst, state, config, rng)
+        iterate(inst, state, config, blocks)
         assert np.allclose(state.x, [0.0, 0.0], atol=1e-15)
         assert np.allclose(state.y, [-0.25, 0.5], atol=1e-15)
         assert np.allclose(state.r_bar, [0.0, 0.0], atol=1e-15)
 
-        iterate(inst, state, config, rng)
+        iterate(inst, state, config, blocks)
         assert np.allclose(state.x, [0.15, 0.0], atol=1e-12)
         assert np.allclose(state.x_bar, [0.30, 0.0], atol=1e-12)
         assert np.allclose(state.y, [-0.3625, 0.75], atol=1e-12)
@@ -402,8 +410,7 @@ class TestIterate:
         inst = hand_instance()
         config = StepsizeConfig.for_instance(inst, K=2, sigma_override=2.0)
         state = initial_state(inst)
-        rng = np.random.Generator(np.random.PCG64(0))
-        iterate(inst, state, config, rng)
+        iterate(inst, state, config, np.arange(2))
         # y = (2*0 + 0 - b) / (2 + 1)
         assert np.allclose(state.y, [-1 / 3, 1 / 3], atol=1e-15)
 
@@ -412,7 +419,7 @@ class TestIterate:
         state = initial_state(small_lasso)
         state.x[0] = np.nan
         with pytest.raises(NumericsError, match="non-finite"):
-            iterate(small_lasso, state, config, rng)
+            iterate(small_lasso, state, config, sample_blocks(rng, config.J, 2, 1)[0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [0, "middle", -1])
@@ -424,7 +431,7 @@ class TestIterate:
         v = getattr(state, name)
         v[v.size // 2 if where == "middle" else where] = bad
         with pytest.raises(NumericsError, match=f"^non-finite values in {name} at iteration 17$"):
-            iterate(small_lasso, state, config, rng)
+            iterate(small_lasso, state, config, sample_blocks(rng, config.J, 2, 1)[0])
 
     def test_finite_state_whose_squares_overflow_passes(self, small_lasso):
         """Entries of 1e200 make the sum of squares inf; the exact scan then
@@ -453,7 +460,7 @@ class TestIterate:
         sigma = compute_sigma_t(coupling, [1], 1, 2, columns=columns)
         assert sigma.dtype == np.float64 and np.array_equal(sigma, [1e-10, 1e-10])
         state = initial_state(inst)
-        iterate(inst, state, config, Draws([[1]]))
+        iterate(inst, state, config, np.array([1]))
         assert state.t == 1 and np.array_equal(state.x, np.zeros(3))
 
     def test_full_selection_matches_preconditioned_twin(self, small_lasso):
@@ -662,14 +669,61 @@ def test_batched_iterate_matches_per_block_loop(kind, size, layout, rule, sigma_
     selections = [selection(gen, J, K, layout) for _ in range(4)]
     batched = initial_state(inst, x0=x0, y0=y0)
     reference = initial_state(inst, x0=x0, y0=y0)
-    draws = Draws(selections)
     for blocks in selections:
-        iterate(inst, batched, config, draws)
+        iterate(inst, batched, config, blocks)
         reference_iterate(inst, reference, config, blocks)
         for name in ("x", "x_bar", "y", "r_bar"):
             got, want = getattr(batched, name), getattr(reference, name)
             scale = max(1.0, float(np.abs(want).max()))
             assert np.abs(got - want).max() <= 1e-12 * scale, name
+
+
+def choice_reference_run(instance, config, passes, seed):
+    """Reference loop: one sorted ``rng.choice`` of the blocks per
+    iteration, a fresh ``_gather`` of their columns, and r_bar refreshed
+    into a new array."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    state = initial_state(instance)
+    for _ in range(passes * iterations_per_pass(config.J, config.K)):
+        blocks = np.sort(rng.choice(config.J, size=config.K, replace=False))
+        state.validate()
+        columns = instance.coupling._gather(blocks)
+        index = columns.index
+        h = config.h[index]
+        x_old = state.x[index]
+        v = x_old - columns.rmatvec(state.y) / h
+        x_new = instance.block_prox(v, h, index, blocks)
+        xb_new = x_new + config.theta * (x_new - x_old)
+        delta_bar = columns.matvec(xb_new - state.x_bar[index])
+        sigma_t = _sigma_for(instance, blocks, config, columns)
+        y_new = dual_step(instance, state, blocks, sigma_t, delta_bar)
+        state.x[index] = x_new
+        state.x_bar[index] = xb_new
+        state.y = y_new
+        state.r_bar = state.r_bar + delta_bar
+        state.t += 1
+    return state
+
+
+@pytest.mark.parametrize("kind", ["lasso", "group-lasso", "rpca"])
+@pytest.mark.parametrize("size", ["one", "some", "all"])
+@pytest.mark.parametrize("rule", STEPSIZE_RULES)
+def test_run_is_bitwise_the_per_iteration_choice_loop(kind, size, rule):
+    """One draw per pass, the cached one-block column sets and the in-place
+    r_bar leave every bit of the run's state as it was."""
+    gen = np.random.Generator(np.random.PCG64(77))
+    inst = property_instance(kind, gen)
+    J = inst.num_blocks
+    K = {"one": 1, "some": 2, "all": J}[size]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # floored penalties
+        config = StepsizeConfig.for_instance(inst, K=K, rule=rule)
+    state, _ = run(inst, config, pass_budget=6, seed=31)
+    want = choice_reference_run(inst, config, passes=6, seed=31)
+    assert state.t == want.t
+    for name in ("x", "x_bar", "y", "r_bar"):
+        got = getattr(state, name)
+        assert np.array_equal(got.view(np.int64), getattr(want, name).view(np.int64)), name
 
 
 # ---------------------------------------------------------------------------
@@ -756,10 +810,10 @@ def test_sparse_coupling_matches_dense(drawn, layout, rule, dual, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # floored penalties
             config = StepsizeConfig.for_instance(inst, K=K, rule=rule)
-        runs.append((inst, config, initial_state(inst, x0=x0, y0=y0), Draws(selections)))
-    for _ in selections:
-        for inst, config, state, draws in runs:
-            iterate(inst, state, config, draws)
+        runs.append((inst, config, initial_state(inst, x0=x0, y0=y0)))
+    for blocks in selections:
+        for inst, config, state in runs:
+            iterate(inst, state, config, blocks)
         for name in ("x", "x_bar", "y", "r_bar"):
             assert_close(getattr(runs[0][2], name), getattr(runs[1][2], name))
 

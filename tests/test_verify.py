@@ -10,7 +10,13 @@ from sepsaddle.problems import (
     make_lasso,
     make_rpca,
 )
-from sepsaddle.spbcd import StepsizeConfig, compute_sigma_t, initial_state, iterate
+from sepsaddle.spbcd import (
+    StepsizeConfig,
+    compute_sigma_t,
+    initial_state,
+    iterate,
+    sample_blocks,
+)
 from oracles import (
     compute_M0,
     golden_section,
@@ -224,14 +230,13 @@ class TestAppendixChain:
         config = StepsizeConfig.for_instance(tiny_lasso, K=J)
         sigma = compute_sigma_t(tiny_lasso.coupling, range(J), J, J)
         state = initial_state(tiny_lasso)
-        rng = np.random.Generator(np.random.PCG64(0))
         l_star_x = tiny_lasso.lagrangian(saddle.x_star, saddle.y_star)
 
         merits = [compute_M0(tiny_lasso, state.x, state.y, saddle, config.h,
                              sigma, J, J)]
         gaps = []
         for _ in range(300):
-            iterate(tiny_lasso, state, config, rng)
+            iterate(tiny_lasso, state, config, np.arange(J))
             merits.append(compute_M0(tiny_lasso, state.x, state.y, saddle,
                                      config.h, sigma, J, J))
             gaps.append(tiny_lasso.lagrangian(state.x, saddle.y_star)
@@ -285,17 +290,12 @@ class TestStochasticGapBound:
         bounds = []
         for seed in range(20):
             state = initial_state(tiny_lasso)
-            rng = np.random.Generator(np.random.PCG64(seed))
+            draws = sample_blocks(np.random.Generator(np.random.PCG64(seed)), J, K, T)
             sum_x = np.zeros(J)
             sum_y = np.zeros(tiny_lasso.m)
-            sigma0 = None
-            for _ in range(T):
-                if sigma0 is None:
-                    blocks_preview = np.random.Generator(
-                        np.random.PCG64(seed)).choice(J, size=K, replace=False)
-                    sigma0 = compute_sigma_t(tiny_lasso.coupling,
-                                             np.sort(blocks_preview), K, J)
-                iterate(tiny_lasso, state, config, rng)
+            sigma0 = compute_sigma_t(tiny_lasso.coupling, draws[0], K, J)
+            for blocks in draws:
+                iterate(tiny_lasso, state, config, blocks)
                 sum_x += state.x
                 sum_y += state.y
             gaps.append(tiny_lasso.lagrangian(sum_x / T, saddle.y_star)
