@@ -18,6 +18,7 @@ column-set products, since it only needs the optimum.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -39,8 +40,11 @@ class PdcpConfig:
     sigma: float
 
     def __post_init__(self):
-        if self.h <= 0 or self.sigma <= 0:
-            raise ConfigError("h and sigma must be positive")
+        # NaN passes a ``<= 0`` test, and would silence the sigma * h check
+        for name in ("h", "sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
     @classmethod
     def recommended(cls, instance) -> "PdcpConfig":
@@ -81,10 +85,16 @@ def pdcp_iterate(instance, state: PdcpState, config: PdcpConfig) -> PdcpState:
     return state
 
 
+def _check_passes(passes, least: int = 1) -> None:
+    """Refuse a pass count that is not an integer >= ``least``, as
+    ``spbcd.run`` refuses its ``pass_budget``."""
+    if not isinstance(passes, int) or passes < least:
+        raise ValueError(f"passes must be >= {least} and an integer, got {passes!r}")
+
+
 def pdcp_run(instance, config: PdcpConfig, passes: int, metric_callback=None):
     """Batch method: one iteration is one pass. Returns (state, trace)."""
-    if passes < 1:
-        raise ValueError("passes must be >= 1")
+    _check_passes(passes)
     nrm = instance.coupling.spectral_norm
     if config.sigma * config.h < nrm ** 2 * (1.0 - 1e-9):
         warnings.warn(
@@ -131,8 +141,7 @@ def preconditioned_pdcp_iterate(instance, state: PdcpState, penalties) -> PdcpSt
 
 
 def preconditioned_pdcp_run(instance, passes: int, metric_callback=None):
-    if passes < 1:
-        raise ValueError("passes must be >= 1")
+    _check_passes(passes)
     penalties = preconditioned_penalties(instance)
     return timed_passes(lambda state: preconditioned_pdcp_iterate(instance, state, penalties),
                         pdcp_initial_state(instance), passes, metric_callback)
@@ -206,8 +215,7 @@ def _lasso_start(A):
 
 def ista_run(A, b, lam: float, passes: int, metric_callback=None):
     """Proximal gradient from zero; passes=0 returns zeros."""
-    if passes < 0:
-        raise ValueError("passes must be >= 0")
+    _check_passes(passes, least=0)
     M, L, x = _lasso_start(A)
     return timed_passes(lambda x: ista_step(M, b, lam, L, x), x, passes, metric_callback)
 
@@ -215,8 +223,7 @@ def ista_run(A, b, lam: float, passes: int, metric_callback=None):
 def fista_run(A, b, lam: float, passes: int = 100, metric_callback=None):
     """Accelerated shrinkage (``_fista_steps``) from zero; passes=0 returns
     zeros."""
-    if passes < 0:
-        raise ValueError("passes must be >= 0")
+    _check_passes(passes, least=0)
     M, L, x = _lasso_start(A)
     steps = _fista_steps(M, b, lam, L, x)
     return timed_passes(lambda _: next(steps), x, passes, metric_callback)

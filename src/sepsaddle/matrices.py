@@ -10,11 +10,13 @@ once and cached), the full products (those of the set of all blocks), and
 the stepsize quantities (column absolute sums, block norms, spectral norm).
 ``DenseCoupling`` stores its matrix column-major, so a single block and any
 run of consecutive blocks are views and a scattered set of blocks is one
-gather of their columns; ``SparseCoupling`` stores each block's nonzeros as
-slot rows of length m (ELLPACK, one row per nonzero a row of the block can
-hold), so a block's rows are views, A_S^T y is one ``np.bincount`` and A_S v
-and the row absolute sums add slot rows; ``IdentityStackCoupling`` is the
-implicit [I I ... I] of the low-rank + sparse problem.
+gather of their columns, into a copy that its row absolute sums overwrite
+with |A_S| (so those sums are the set's last use); ``SparseCoupling`` stores
+each block's nonzeros as slot rows of length m (ELLPACK, one row per nonzero
+a row of the block can hold), so a block's rows are views, A_S^T y is one
+``np.bincount`` and A_S v and the row absolute sums add slot rows;
+``IdentityStackCoupling`` is the implicit [I I ... I] of the low-rank +
+sparse problem.
 """
 
 from __future__ import annotations
@@ -198,6 +200,11 @@ class Coupling:
     and either ``block(j)`` (block j as a dense array) or its own
     ``block_norms``. ``gather`` builds each one-block set and the set of
     all blocks once; A x and A^T y are the products of the latter.
+
+    A column set's ``row_abs_sums`` is its last use: a set that holds its
+    own copy of the columns (a scattered dense set) takes |A_S| in that copy,
+    and any use of it after that raises. The cached sets are read-only views
+    of the store, which no call writes.
     """
 
     partition: BlockPartition
@@ -274,6 +281,8 @@ class DenseColumns(NamedTuple):
     and the dual stepsize rule.
 
     ``index`` selects S's coordinates of a primal vector, in block order.
+    ``values`` is a read-only view of the store: S is one block or a run of
+    consecutive blocks (a scattered S is a ``GatheredColumns``).
     """
 
     index: object
@@ -290,6 +299,41 @@ class DenseColumns(NamedTuple):
     def row_abs_sums(self) -> np.ndarray:
         """sum over d in S of |A_kd|, for every row k."""
         return np.abs(self.values).sum(axis=1)
+
+
+class GatheredColumns:
+    """The columns A_S of a scattered set S of blocks, in the set's own
+    gathered copy (``values``, writeable), with the products of
+    ``DenseColumns``.
+
+    The row sums take |A_S| in that copy, so they are the set's last use:
+    they drop the copy, and any later product or row sum raises
+    ``RuntimeError``. A new |A_S| would have the copy's layout, so numpy
+    adds the same terms in the same order: the sums are bitwise
+    ``np.abs(values).sum(axis=1)``.
+    """
+
+    __slots__ = ("index", "values")
+
+    def __init__(self, index, values: np.ndarray):
+        self.index = index
+        self.values = values
+
+    rmatvec = DenseColumns.rmatvec
+    matvec = DenseColumns.matvec
+
+    def row_abs_sums(self) -> np.ndarray:
+        """sum over d in S of |A_kd|, for every row k; consumes the set."""
+        values = self.values
+        del self.values
+        return np.abs(values, out=values).sum(axis=1)
+
+    def __getattr__(self, name):
+        # reached only once ``values`` is deleted, or for a missing name
+        if name == "values":
+            raise RuntimeError("this column set was consumed by its row_abs_sums; "
+                               "gather the blocks again")
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 class DenseCoupling(Coupling):
@@ -317,11 +361,13 @@ class DenseCoupling(Coupling):
     def block(self, j: int) -> np.ndarray:
         return self.matrix.values[:, self.partition.slice_of(j)]
 
-    def _gather(self, blocks) -> DenseColumns:
+    def _gather(self, blocks) -> DenseColumns | GatheredColumns:
         """A_S for the sorted, distinct ``blocks``: a view when they are
-        consecutive, otherwise one gather of their columns."""
+        consecutive, otherwise one gather of their columns into the set's
+        own copy."""
         index = block_coords(self.partition.offset_array, blocks)
-        return DenseColumns(index, self.matrix.values[:, index])
+        columns = DenseColumns if isinstance(index, slice) else GatheredColumns
+        return columns(index, self.matrix.values[:, index])
 
     @cached_property
     def col_abs_sums(self) -> np.ndarray:

@@ -202,7 +202,8 @@ def compute_sigma_t(coupling, blocks, K: int, J: int, rule: str = "adaptive-l1",
     block-spectral:  sigma_k = (J/K) sum_{j in S} ||A_j||  (constant over k)
 
     ``columns`` is ``coupling.gather(blocks)`` when the caller already holds
-    it; adaptive-l1 then sums those columns instead of gathering again.
+    it; adaptive-l1 then sums those columns instead of gathering again, as
+    their last use (a scattered dense set takes |A_S| in its own copy).
     Both rules scale and floor one new array in place.
     """
     if rule == "adaptive-l1":

@@ -66,6 +66,25 @@ class TestPdcp:
         with pytest.raises(ConfigError):
             PdcpConfig(h=0.0, sigma=1.0)
 
+    @pytest.mark.parametrize("field", ["h", "sigma"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0, 0.0])
+    def test_config_refuses_non_finite_or_non_positive(self, field, bad):
+        """NaN compares False, so a NaN penalty would pass a ``<= 0`` test
+        and silence pdcp_run's sigma * h check; the error names the field."""
+        values = {"h": 1.0, "sigma": 1.0, field: bad}
+        with pytest.raises(ConfigError, match=rf"^{field} must be positive and finite"):
+            PdcpConfig(**values)
+
+    @pytest.mark.parametrize("passes", [0, -1, 2.5, 1.0, "3", None])
+    def test_runs_refuse_bad_pass_counts(self, small_lasso, passes):
+        """pdcp and its preconditioned twin take a positive integer pass
+        count, like ``spbcd.run``; no solver step runs before the check."""
+        config = PdcpConfig(h=1.0, sigma=1.0)
+        for call in (lambda: pdcp_run(small_lasso, config, passes),
+                     lambda: preconditioned_pdcp_run(small_lasso, passes)):
+            with pytest.raises(ValueError, match="passes must be >= 1 and an integer"):
+                call()
+
     def test_recommended_satisfies_theorem_condition(self, small_lasso):
         config = PdcpConfig.recommended(small_lasso)
         nrm = small_lasso.coupling.spectral_norm
@@ -197,6 +216,15 @@ class TestIsta:
         A, b, lam = gen_lasso(4, 6, 2, seed=1)
         with pytest.raises(ValueError, match="passes must be >= 0"):
             ista_run(A.values, b, lam, passes=-1)
+
+    @pytest.mark.parametrize("run_fn", [ista_run, fista_run])
+    @pytest.mark.parametrize("passes", [-1, 2.5, 0.0, "2", None])
+    def test_ista_and_fista_refuse_bad_pass_counts(self, run_fn, passes):
+        """ista and fista allow 0 passes but no negative or non-integer
+        count."""
+        A, b, lam = gen_lasso(4, 6, 2, seed=1)
+        with pytest.raises(ValueError, match="passes must be >= 0 and an integer"):
+            run_fn(A.values, b, lam, passes=passes)
 
     def test_fixed_point_at_optimum(self, rng):
         # orthonormal design: the optimum is the exact shrinkage of A^T b

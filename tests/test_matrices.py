@@ -689,3 +689,54 @@ class TestGatherDispatch:
         assert coupling.gather(np.arange(coupling.num_blocks)) is coupling._all_columns
         pair = coupling.gather(np.array([0, 2]))
         assert coupling.gather(np.array([0, 2])) is not pair
+
+
+class TestScatteredDenseSet:
+    """A scattered dense set holds its own copy of the columns. Its row sums
+    take |A_S| in that copy, so they are its last use; the one-block, run and
+    full sets are read-only views of the store, which no call writes."""
+
+    @staticmethod
+    def coupling(rng):
+        A = operand(rng, (6, 9))
+        return DenseCoupling(DenseMatrix(A), BlockPartition([2, 1, 3, 1, 2]))
+
+    def test_row_sums_are_bitwise_those_of_an_untouched_copy(self, rng):
+        coupling = self.coupling(rng)
+        stored = coupling.matrix.values.copy()
+        for blocks in ([0, 2], [1, 3, 4], [0, 2, 4], [0, 1, 3]):
+            columns = coupling.gather(np.array(blocks))
+            assert columns.values.flags.writeable
+            assert not np.shares_memory(columns.values, coupling.matrix.values)
+            untouched = columns.values.copy()
+            assert same_bits(columns.row_abs_sums(), np.abs(untouched).sum(axis=1))
+            assert same_bits(coupling.row_abs_sums(blocks), np.abs(untouched).sum(axis=1))
+        assert same_bits(coupling.matrix.values, stored)
+
+    def test_a_consumed_set_feeds_no_product(self, rng):
+        coupling = self.coupling(rng)
+        columns = coupling.gather(np.array([0, 2, 4]))
+        y, v = operand(rng, 6), operand(rng, columns.index.size)
+        want = (columns.rmatvec(y), columns.matvec(v))
+        assert same_bits(want[0], coupling.matrix.values[:, columns.index].T @ y)
+        columns.row_abs_sums()
+        for use in (lambda: columns.rmatvec(y), lambda: columns.matvec(v),
+                    columns.row_abs_sums, lambda: columns.values):
+            with pytest.raises(RuntimeError, match="consumed"):
+                use()
+        again = coupling.gather(np.array([0, 2, 4]))
+        assert same_bits(again.rmatvec(y), want[0]) and same_bits(again.matvec(v), want[1])
+
+    def test_views_stay_read_only_and_serve_every_call(self, rng):
+        coupling = self.coupling(rng)
+        stored = coupling.matrix.values.copy()
+        y = operand(rng, 6)
+        for blocks in ([1], [3], [1, 2], [0, 1, 2, 3, 4]):
+            columns = coupling.gather(np.array(blocks))
+            sums = columns.row_abs_sums()
+            assert same_bits(columns.row_abs_sums(), sums)
+            assert np.allclose(columns.rmatvec(y), stored[:, columns.index].T @ y,
+                               rtol=1e-14, atol=1e-14)
+            assert not columns.values.flags.writeable
+            assert np.shares_memory(columns.values, coupling.matrix.values)
+        assert same_bits(coupling.matrix.values, stored)

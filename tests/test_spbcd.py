@@ -726,6 +726,32 @@ def test_run_is_bitwise_the_per_iteration_choice_loop(kind, size, rule):
         assert np.array_equal(got.view(np.int64), getattr(want, name).view(np.int64)), name
 
 
+@pytest.mark.parametrize("K, kind", [(1, "one block"), (2, "consecutive"),
+                                     (4, "scattered"), (8, "all blocks")])
+def test_dense_runs_write_neither_the_store_nor_a_cached_set(K, kind):
+    """Only a scattered set's own gathered copy is overwritten, by its row
+    sums: after 3 passes the lasso coupling's matrix bytes are unchanged and
+    every cached column set is still a read-only view of the store."""
+    inst = make_lasso(*gen_lasso(12, 8, 3, seed=4))
+    coupling = inst.coupling
+    J, seed = inst.num_blocks, 5
+    drawn = sample_blocks(np.random.Generator(np.random.PCG64(seed)), J, K,
+                          3 * iterations_per_pass(J, K))
+    consecutive = drawn[:, -1] - drawn[:, 0] == K - 1
+    if kind == "consecutive":
+        assert consecutive.any()
+    if kind == "scattered":
+        assert not consecutive.all()
+    stored = coupling.matrix.values.tobytes()
+    run(inst, StepsizeConfig.for_instance(inst, K), pass_budget=3, seed=seed)
+    assert coupling.matrix.values.tobytes() == stored
+    if K == 1:
+        assert sorted(coupling._block_columns) == np.unique(drawn).tolist()
+    for columns in [*coupling._block_columns.values(), coupling._all_columns]:
+        assert not columns.values.flags.writeable
+        assert np.shares_memory(columns.values, coupling.matrix.values)
+
+
 # ---------------------------------------------------------------------------
 # Sparse against dense: the sparse store adds the same products in another
 # order, so iterates agree to 1e-12 relative (the tolerance of the batched
