@@ -28,7 +28,7 @@ from .errors import ConfigError, ConvergenceError
 from .matrices import _values, spectral_norm_estimate
 from .prox import prox_l1
 from .spbcd import (FLOOR_EPS, StepsizeConfig, initial_state, lift_nonseparable, pass_step,
-                    timed_passes)
+                    start_vectors, timed_passes)
 
 
 @dataclass
@@ -63,8 +63,7 @@ class PdcpState:
 
 
 def pdcp_initial_state(instance, x0=None, y0=None) -> PdcpState:
-    x = np.zeros(instance.n) if x0 is None else np.array(x0, dtype=float)
-    y = np.zeros(instance.m) if y0 is None else np.array(y0, dtype=float)
+    x, y = start_vectors(instance, x0, y0)
     return PdcpState(x=x, x_bar=x.copy(), y=y)
 
 
@@ -208,8 +207,9 @@ def _fista_steps(M, b, lam: float, L: float, x):
 
 
 def _lasso_start(A):
-    """The matrix, the step constant L and the zero start."""
-    M = _values(A)
+    """The matrix, row-major (so the iterates' bits do not depend on the
+    layout A comes in), the step constant L and the zero start."""
+    M = np.ascontiguousarray(_values(A))
     return M, lipschitz_upper(M), np.zeros(M.shape[1])
 
 

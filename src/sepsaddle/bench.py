@@ -4,6 +4,7 @@ comparisons with SVG charts."""
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .problems import (
     gen_group_lasso,
     gen_lasso,
     gen_rpca,
+    lasso_data,
     make_group_lasso_hinge,
     make_lasso,
     make_rpca,
@@ -37,6 +39,7 @@ PROBLEMS = ("lasso", "group-lasso", "rpca", "file")
 
 DEFAULT_GROUP_LASSO_LAM = 1e-4
 _GAP_MAX_DIM = 500
+_GAP_ONLY = f"gap reporting is only available for lasso problems with n <= {_GAP_MAX_DIM}"
 _RPCA_LAM = "problem 'rpca' has no lam; --lam applies to lasso and group-lasso"
 
 
@@ -101,6 +104,8 @@ class RunConfig:
             raise ConfigError("--path is only valid with --problem file")
         if self.solver in ("ista", "fista") and self.problem not in ("lasso", "file"):
             raise ConfigError(f"solver {self.solver!r} only applies to lasso problems")
+        if self.gap and self.problem not in ("lasso", "file"):
+            raise ConfigError(_GAP_ONLY)
         if self.lam is not None and not self.lam > 0:
             raise ConfigError(f"--lam must be positive for problem {self.problem!r}, "
                               f"got {self.lam!r}")
@@ -140,13 +145,6 @@ class RunConfig:
         return self.solver
 
 
-@dataclass
-class ProblemBundle:
-    instance: SepCCSPInstance
-    lasso_data: tuple | None = None  # (A, b, lam) when the problem is a lasso
-    saddle: tuple | None = None  # (x*, y*) of the gap column, once computed
-
-
 def problem_data(config: RunConfig):
     """The problem as (kind, arrays, meta), the content of a problem directory
     with ``meta`` as the text of its ``meta.txt``: generated from the flags or
@@ -183,7 +181,7 @@ def problem_data(config: RunConfig):
     return kind, arrays, meta_text(meta)
 
 
-def build_problem(config: RunConfig) -> ProblemBundle:
+def build_problem(config: RunConfig) -> SepCCSPInstance:
     """Build the instance from ``problem_data(config)``, the one path for
     generated problems and problem directories alike."""
     kind, arrays, meta = problem_data(config)
@@ -198,19 +196,17 @@ def build_problem(config: RunConfig) -> ProblemBundle:
         return np.ravel(_values(array(name)))
 
     if kind == "lasso":
-        A = array("A")
-        b = vector("b")
+        A, b = array("A"), vector("b")
         if "lam" not in meta:
             raise FormatError(f"{source}/meta.txt: no 'lam' key and no --lam")
-        lam = meta_value(meta, "lam", positive_float, source)
-        return ProblemBundle(make_lasso(A, b, lam), lasso_data=(A, b, lam))
+        return make_lasso(A, b, meta_value(meta, "lam", positive_float, source))
     if kind == "rpca":
         B = _values(array("B"))
         if "mu2" in meta and "mu3" in meta:
             mu2, mu3 = (meta_value(meta, key, positive_float, source) for key in ("mu2", "mu3"))
         else:
             mu2, mu3 = rpca_default_penalties(B)
-        return ProblemBundle(make_rpca(B, mu2, mu3))
+        return make_rpca(B, mu2, mu3)
     if kind == "group-lasso":
         groups = groups_from_meta(meta, source)
         if "features" not in arrays:
@@ -218,39 +214,32 @@ def build_problem(config: RunConfig) -> ProblemBundle:
         labels = vector("labels")
         lam = (meta_value(meta, "lam", positive_float, source) if "lam" in meta
                else DEFAULT_GROUP_LASSO_LAM)
-        return ProblemBundle(make_group_lasso_hinge(arrays["features"], labels, groups, lam))
+        return make_group_lasso_hinge(arrays["features"], labels, groups, lam)
     raise ConfigError(f"unknown problem kind {kind!r} in {source}")
 
 
-def _ensure_reference(bundle: ProblemBundle) -> None:
+def _ensure_reference(instance: SepCCSPInstance) -> None:
     """Attach a reference objective for suboptimality residual reporting."""
-    instance = bundle.instance
     if instance.residual_kind != "suboptimality" or instance.reference_objective is not None:
         return
-    if bundle.lasso_data is not None:
-        A, b, lam = bundle.lasso_data
-        _, obj = baselines.fista_reference(A, b, lam, tol=1e-10, max_passes=50_000)
+    if instance.name == "lasso":
+        _, obj = baselines.fista_reference(*lasso_data(instance), tol=1e-10, max_passes=50_000)
     else:
         x_ref, _ = baselines.preconditioned_reference(instance, tol=1e-9, max_passes=50_000)
         obj = instance.objective(x_ref)
     instance.reference_objective = obj
 
 
-def _gap_evaluator(config: RunConfig, bundle: ProblemBundle):
+_SADDLES = weakref.WeakKeyDictionary()  # instance -> (x*, y*) of its gap column
+
+
+def _gap_evaluator(instance: SepCCSPInstance):
     """Saddle-referenced gap L(x, y*) - L(x*, y) for tiny lasso problems."""
-    if not config.gap:
-        return None
-    instance = bundle.instance
-    if bundle.lasso_data is None or instance.n > _GAP_MAX_DIM:
-        raise ConfigError(
-            "gap reporting is only available for lasso problems with "
-            f"n <= {_GAP_MAX_DIM}"
-        )
-    if bundle.saddle is None:
-        A, b, lam = bundle.lasso_data
+    if instance not in _SADDLES:
+        A, b, lam = lasso_data(instance)
         x_star, _ = baselines.fista_reference(A, b, lam, tol=1e-12, max_passes=200_000)
-        bundle.saddle = (x_star, instance.coupling.matvec(x_star) - b)
-    x_star, y_star = bundle.saddle
+        _SADDLES[instance] = (x_star, instance.coupling.matvec(x_star) - b)
+    x_star, y_star = _SADDLES[instance]
     l_star = instance.lagrangian(x_star, y_star)
 
     def gap_at(x, y):
@@ -260,18 +249,20 @@ def _gap_evaluator(config: RunConfig, bundle: ProblemBundle):
     return gap_at
 
 
-def run_experiment(config: RunConfig, bundle: ProblemBundle | None = None):
-    """Build the problem, run the configured solver, return the trace (and
-    write it to ``config.out`` when set)."""
+def run_experiment(config: RunConfig, instance: SepCCSPInstance | None = None):
+    """Build the problem (unless ``instance`` is given), run the configured
+    solver, return the trace (and write it to ``config.out`` when set)."""
     config.validate()
-    if bundle is None:
-        bundle = build_problem(config)
-    if config.solver in ("ista", "fista") and bundle.lasso_data is None:
-        # a problem directory's kind is known only once it is loaded
+    if instance is None:
+        instance = build_problem(config)
+    # a problem directory's kind is known only once it is loaded
+    lasso = instance.name == "lasso"
+    if config.solver in ("ista", "fista") and not lasso:
         raise ConfigError(f"solver {config.solver!r} only applies to lasso problems")
-    instance = bundle.instance
-    _ensure_reference(bundle)
-    gap_at = _gap_evaluator(config, bundle)
+    if config.gap and not (lasso and instance.n <= _GAP_MAX_DIM):
+        raise ConfigError(_GAP_ONLY)
+    _ensure_reference(instance)
+    gap_at = _gap_evaluator(instance) if config.gap else None
 
     def record(pass_index, x, y, seconds):
         gap = gap_at(x, y) if gap_at is not None else None
@@ -279,7 +270,7 @@ def run_experiment(config: RunConfig, bundle: ProblemBundle | None = None):
                            instance.objective(x), instance.residual(x), gap)
 
     try:
-        trace = _dispatch(config, bundle, record)
+        trace = _dispatch(config, instance, record)
     except RunAborted as exc:
         if config.out:
             write_trace(config.out, config, exc.trace)
@@ -289,8 +280,7 @@ def run_experiment(config: RunConfig, bundle: ProblemBundle | None = None):
     return trace
 
 
-def _dispatch(config: RunConfig, bundle: ProblemBundle, record):
-    instance = bundle.instance
+def _dispatch(config: RunConfig, instance: SepCCSPInstance, record):
     if config.solver == "spbcd":
         step_config = spbcd.StepsizeConfig.for_instance(
             instance, config.K, rule=config.rule,
@@ -312,7 +302,7 @@ def _dispatch(config: RunConfig, bundle: ProblemBundle, record):
             metric_callback=lambda p, state, secs: record(p, state.x, state.y, secs))
         return trace
     # ista / fista operate on the raw lasso data
-    A, b, lam = bundle.lasso_data
+    A, b, lam = lasso_data(instance)
     zeros_y = np.zeros(instance.m)
     callback = lambda p, x, secs: record(p, x, zeros_y, secs)  # noqa: E731
     if config.solver == "ista":
@@ -381,9 +371,13 @@ def compare(configs, out_dir, metric: str = "objective") -> dict:
     labels = [c.series_label() for c in configs]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"series labels must be distinct, got {labels}")
+    no_gap = [label for label, c in zip(labels, configs) if not c.gap]
+    if metric == "gap" and no_gap:
+        raise ConfigError(f"metric 'gap' needs gap = true in every config; "
+                          f"not set in {', '.join(no_gap)}")
 
-    bundle = build_problem(configs[0])
-    traces = [run_experiment(c, bundle=bundle) for c in configs]
+    instance = build_problem(configs[0])
+    traces = [run_experiment(c, instance) for c in configs]
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,8 @@
 """Command-line front end: ``generate``, ``run``, and ``compare``.
 
 Exit codes: 0 success, 2 bad configuration or arguments, 3 solver numeric
-failure (partial trace flushed when an output path was given).
+failure (partial trace flushed when an output path was given) or a failed
+reference solve (no trace written).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .bench import (
     run_experiment,
 )
 from .datafiles import save_problem_dir
-from .errors import ConfigError, FormatError, RunAborted
+from .errors import ConfigError, ConvergenceError, FormatError, NumericsError, RunAborted
 from .spbcd import STEPSIZE_RULES
 
 
@@ -144,6 +145,11 @@ def main(argv=None) -> int:
     except RunAborted as exc:
         print(f"solver aborted: {exc} ({len(exc.trace)} passes completed)",
               file=sys.stderr)
+        return 3
+    except (ConvergenceError, NumericsError) as exc:
+        # a run's own numeric failures arrive as RunAborted; these come from
+        # the reference (or saddle) solve that precedes it
+        print(f"error: reference solve failed: {exc}", file=sys.stderr)
         return 3
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .matrices import BlockPartition, DenseMatrix
+from .matrices import BlockPartition, DenseMatrix, _values
 
 
 def _lines(path, comments: bool = False):
@@ -56,7 +56,7 @@ def load_matrix_csv(path) -> DenseMatrix:
 
 
 def save_matrix_csv(path, matrix) -> None:
-    values = matrix.values if isinstance(matrix, DenseMatrix) else np.asarray(matrix, dtype=float)
+    values = _values(matrix)
     if values.ndim == 1:
         values = values[:, None]
     with open(path, "w", encoding="ascii") as fh:

@@ -203,8 +203,8 @@ class Coupling:
 
     A column set's ``row_abs_sums`` is its last use: a set that holds its
     own copy of the columns (a scattered dense set) takes |A_S| in that copy,
-    and any use of it after that raises. The cached sets are read-only views
-    of the store, which no call writes.
+    and any use of it after that raises. No call writes a cached set, and
+    its values are read-only views of the store.
     """
 
     partition: BlockPartition
@@ -472,10 +472,12 @@ class SparseCoupling(Coupling):
     Block j owns w_j slot rows, where w_j is its largest nonzero count in any
     row (at least 1). Slot row s of block j holds, for every row k, the s-th
     nonzero of row k in block j, in column order: its column id within the
-    block (``local_cols``), its global column id (``cols``), its value
-    (``vals``) and its absolute value (``abs_vals``), all (W, m) arrays over
-    the W slot rows. A row with fewer nonzeros is padded with value 0 at the
-    block's first column. ``slot_offsets`` are the prefix sums of the w_j.
+    block (``local_cols``), its value (``vals``) and its absolute value
+    (``abs_vals``), all (W, m) arrays over the W slot rows. A row with fewer
+    nonzeros is padded with value 0 at the block's first column.
+    ``slot_offsets`` are the prefix sums of the w_j. No global column ids are
+    stored: the set of all blocks is gathered like any other set, and its
+    column positions are those ids.
 
     Built from the nonzeros listed row by row, columns ascending in each row
     (the order of a row-major ``np.flatnonzero`` scan); in that order every
@@ -508,16 +510,14 @@ class SparseCoupling(Coupling):
 
         at, slot_offsets = _slot_positions(rows, cols, partition, m)
         shape = (int(slot_offsets[-1]), int(m))
-        starts = np.repeat(partition.offset_array[:-1], np.diff(slot_offsets))[:, None]
-        self.cols = np.empty(shape, dtype=np.intp)
-        self.cols[:] = starts  # padding: the block's first column
-        self.cols.ravel()[at] = cols
-        self.local_cols = self.cols - starts
+        starts = np.repeat(partition.offset_array[:-1], np.diff(slot_offsets))  # by slot row
+        self.local_cols = np.zeros(shape, dtype=np.intp)  # padding: the block's first column
+        self.local_cols.ravel()[at] = cols - starts[at // m]
         self.vals = np.zeros(shape)
         self.vals.ravel()[at] = vals
         self.abs_vals = np.abs(self.vals)
         self.slot_offsets = slot_offsets
-        for arr in (self.vals, self.local_cols, self.cols, self.abs_vals, self.slot_offsets):
+        for arr in (self.vals, self.local_cols, self.abs_vals, self.slot_offsets):
             arr.setflags(write=False)
         self.partition = partition
         self.m = int(m)
@@ -550,14 +550,10 @@ class SparseCoupling(Coupling):
         return SparseColumns(index, cols, self.vals[slots], self.abs_vals[slots], width)
 
     @cached_property
-    def _all_columns(self) -> SparseColumns:
-        """All slot rows; their positions are the stored global ``cols``."""
-        return SparseColumns(slice(0, self.n), self.cols, self.vals, self.abs_vals, self.n)
-
-    @cached_property
     def col_abs_sums(self) -> np.ndarray:
         """Per-column sums of absolute entries: the adaptive primal penalty."""
-        out = _sum_by(self.cols.ravel(), self.abs_vals.ravel(), self.n)
+        full = self._all_columns  # its column positions are the global ids
+        out = _sum_by(full.cols.ravel(), full.abs_vals.ravel(), self.n)
         out.setflags(write=False)
         return out
 

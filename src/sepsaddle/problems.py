@@ -37,6 +37,7 @@ from .matrices import (
     DenseMatrix,
     IdentityStackCoupling,
     SparseCoupling,
+    _values,
     spectral_norm_estimate,
 )
 
@@ -147,6 +148,11 @@ def make_lasso(A, b, lam: float) -> SepCCSPInstance:
     )
 
 
+def lasso_data(instance: SepCCSPInstance):
+    """(A, b, lam) of a ``make_lasso`` instance: its matrix, its dual's b, its lam."""
+    return instance.coupling.matrix, instance.dual_fn.b, instance.meta["lam"]
+
+
 def gen_lasso(m: int, n: int, d: int, seed: int, normalize: bool = True):
     """Standard-normal design with a d-sparse planted solution.
 
@@ -235,7 +241,7 @@ def make_group_lasso_hinge(features, labels, groups: BlockPartition,
     size d_g; the builder computes the weights once, here."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    F = features.values if isinstance(features, DenseMatrix) else np.asarray(features, dtype=float)
+    F = _values(features)
     z = np.asarray(labels, dtype=float)
     if not np.all(np.isin(z, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")

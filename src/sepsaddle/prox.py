@@ -69,7 +69,7 @@ def prox_nuclear(V, tau: float) -> np.ndarray:
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    M = V.values if hasattr(V, "values") else np.asarray(V, dtype=float)
+    M = np.asarray(V, dtype=float)
     wide = M.shape[0] <= M.shape[1]
     A = M if wide else M.T
     try:

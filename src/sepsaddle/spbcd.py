@@ -80,18 +80,23 @@ class SolverState:
                 raise NumericsError(f"non-finite values in {name} at iteration {self.t}")
 
 
-def initial_state(instance, x0=None, y0=None) -> SolverState:
+def start_vectors(instance, x0=None, y0=None) -> tuple[np.ndarray, np.ndarray]:
+    """The start (x, y) of every solver: zeros, or float64 copies of ``x0``
+    and ``y0``. A wrong shape raises ``ValueError``, and a NaN or an infinity
+    ``NumericsError`` naming the vector."""
     x = np.zeros(instance.n) if x0 is None else np.array(x0, dtype=float)
     y = np.zeros(instance.m) if y0 is None else np.array(y0, dtype=float)
-    if x.shape != (instance.n,):
-        raise ValueError(f"x0 must have shape ({instance.n},)")
-    if y.shape != (instance.m,):
-        raise ValueError(f"y0 must have shape ({instance.m},)")
-    x_bar = x.copy()
-    r_bar = instance.coupling.matvec(x_bar)
-    state = SolverState(x=x, x_bar=x_bar, y=y, r_bar=r_bar)
-    state.validate()
-    return state
+    for name, v, size in (("x0", x, instance.n), ("y0", y, instance.m)):
+        if v.shape != (size,):
+            raise ValueError(f"{name} must have shape ({size},)")
+        if not np.isfinite(v).all():
+            raise NumericsError(f"non-finite values in {name}")
+    return x, y
+
+
+def initial_state(instance, x0=None, y0=None) -> SolverState:
+    x, y = start_vectors(instance, x0, y0)
+    return SolverState(x=x, x_bar=x.copy(), y=y, r_bar=instance.coupling.matvec(x))
 
 
 @dataclass(eq=False)

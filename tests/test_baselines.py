@@ -23,7 +23,7 @@ from sepsaddle.bench import SOLVERS
 from sepsaddle.errors import ConfigError, NumericsError, RunAborted
 from sepsaddle.problems import gen_group_lasso, gen_lasso, gen_rpca, make_group_lasso_hinge, \
     make_lasso, make_rpca, rpca_default_penalties
-from sepsaddle.spbcd import StepsizeConfig, run
+from sepsaddle.spbcd import StepsizeConfig, initial_state, run
 
 
 def per_block_pdcp_iterate(instance, state, config):
@@ -89,6 +89,31 @@ class TestPdcp:
         config = PdcpConfig.recommended(small_lasso)
         nrm = small_lasso.coupling.spectral_norm
         assert config.sigma * config.h >= nrm ** 2 * (1 - 1e-12)
+
+    @pytest.mark.parametrize("start", [initial_state, pdcp_initial_state])
+    def test_start_is_checked(self, small_lasso, start):
+        """Both solvers take their start through ``spbcd.start_vectors``: a
+        wrong shape raises ValueError, a NaN or an infinity NumericsError
+        naming the vector; no start is zeros."""
+        n, m = small_lasso.n, small_lasso.m
+        with pytest.raises(ValueError, match=rf"^x0 must have shape \({n},\)$"):
+            start(small_lasso, x0=np.zeros(3))
+        with pytest.raises(ValueError, match=rf"^y0 must have shape \({m},\)$"):
+            start(small_lasso, y0=np.zeros((m, 1)))
+        with pytest.raises(NumericsError, match="^non-finite values in x0$"):
+            start(small_lasso, x0=np.full(n, np.nan))
+        y0 = np.zeros(m)
+        y0[-1] = np.inf
+        with pytest.raises(NumericsError, match="^non-finite values in y0$"):
+            start(small_lasso, y0=y0)
+        state = start(small_lasso)
+        for v, size in ((state.x, n), (state.x_bar, n), (state.y, m)):
+            assert v.dtype == np.float64 and np.array_equal(v, np.zeros(size))
+        assert state.x_bar is not state.x and state.t == 0
+        x0 = np.arange(n)  # integers are taken as a float64 copy
+        state = start(small_lasso, x0=x0)
+        assert state.x.dtype == np.float64 and np.array_equal(state.x, x0)
+        assert state.x is not x0 and np.array_equal(state.x_bar, x0)
 
     def test_fixed_point_is_stationary(self):
         inst, x_star, y_star = exact_toy_lasso()
@@ -285,6 +310,18 @@ class TestFista:
         x_ref, _ = fista_reference(A.values, b, lam, tol=1e6, window=window)
         x_run, _ = fista_run(A.values, b, lam, passes=window)
         assert np.array_equal(x_ref, x_run)
+
+    @pytest.mark.parametrize("run_fn", [ista_run, fista_run])
+    def test_iterates_do_not_depend_on_the_layout(self, run_fn):
+        """The steps take A row-major, so a column-major A (the lasso
+        coupling's store) gives bitwise the same iterates."""
+        A, b, lam = gen_lasso(20, 40, 4, seed=0)
+        rows, cols = A.values, np.asfortranarray(A.values)
+        by_rows = run_fn(rows, b, lam, passes=30, metric_callback=lambda p, x, s: x.copy())
+        by_cols = run_fn(cols, b, lam, passes=30, metric_callback=lambda p, x, s: x.copy())
+        for x_r, x_c in zip(by_rows[1], by_cols[1]):
+            assert np.array_equal(x_r, x_c)
+        assert np.array_equal(by_rows[0], by_cols[0])
 
     def test_lipschitz_safety_factor(self):
         A, _, _ = gen_lasso(10, 10, 2, seed=2)

@@ -17,7 +17,7 @@ from sepsaddle.bench import (
 )
 from sepsaddle.cli import main
 from sepsaddle.datafiles import load_problem_dir
-from sepsaddle.errors import ConfigError
+from sepsaddle.errors import ConfigError, ConvergenceError, NumericsError
 from sepsaddle.svgplot import AxisSpec, Series, render_svg
 
 
@@ -177,10 +177,31 @@ class TestRunExperiment:
         assert trace[-1].gap <= trace[0].gap
 
     def test_gap_refused_for_rpca(self):
-        config = RunConfig(problem="rpca", solver="spbcd", passes=2, K=1,
-                           m=6, n=8, rank=2, gap=True)
         with pytest.raises(ConfigError, match="gap"):
-            run_experiment(config)
+            RunConfig(problem="rpca", solver="spbcd", passes=2, K=1,
+                      m=6, n=8, rank=2, gap=True)
+
+    @pytest.mark.parametrize("argv", [
+        ["--problem", "group-lasso", "--gl-samples", "30"],
+        ["--problem", "rpca", "--m", "6", "--n", "8", "--r", "2"],
+        ["--problem", "lasso", "--m", "8", "--n", "501", "--d", "3"],
+        ["--problem", "file", "--path", "{gl_dir}"],
+    ])
+    def test_gap_refused_before_any_reference_solve(self, tmp_path, capsys, monkeypatch,
+                                                    argv):
+        gl_dir = tmp_path / "gl"
+        assert main(["generate", "--problem", "group-lasso", "--gl-samples", "30",
+                     "--out", str(gl_dir)]) == 0
+
+        def no_reference(*args, **kwargs):
+            raise AssertionError("a reference was solved before the gap check")
+
+        monkeypatch.setattr(bench.baselines, "fista_reference", no_reference)
+        monkeypatch.setattr(bench.baselines, "preconditioned_reference", no_reference)
+        argv = [a.format(gl_dir=gl_dir) for a in argv]
+        assert main(["run", *argv, "--passes", "2", "--gap"]) == 2
+        assert "gap reporting is only available for lasso problems with n <= 500" \
+            in capsys.readouterr().err
 
     def test_rpca_runs(self):
         config = RunConfig(problem="rpca", solver="spbcd", passes=4, K=2,
@@ -244,6 +265,28 @@ class TestCompare:
         configs = [tiny_lasso_config(label="a"), tiny_lasso_config(label="b")]
         paths = compare(configs, tmp_path / "same")
         assert paths["pass"].read_text().startswith("<svg")
+
+    def test_gap_metric_needs_gap_in_every_config(self, tmp_path):
+        configs = [tiny_lasso_config(gap=True), tiny_lasso_config(solver="pdcp"),
+                   tiny_lasso_config(solver="fista")]
+        with pytest.raises(ConfigError, match="gap = true.* not set in pdcp, fista$"):
+            compare(configs, tmp_path / "cmp", metric="gap")
+        assert not (tmp_path / "cmp").exists()
+
+    def test_gap_configs_share_one_saddle_solve(self, tmp_path, monkeypatch):
+        real = bench.baselines.fista_reference
+        tols = []
+
+        def counted(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench.baselines, "fista_reference", counted)
+        configs = [tiny_lasso_config(gap=True), tiny_lasso_config(solver="pdcp", gap=True)]
+        paths = compare(configs, tmp_path / "cmp", metric="gap")
+        # one reference objective and one saddle for the one instance
+        assert sorted(tols) == [1e-12, 1e-10]
+        assert paths["pass"].exists()
 
 
 class TestRenderSvg:
@@ -496,6 +539,44 @@ class TestCli:
         assert code == 0
         _, records = read_trace(out)
         assert len(records) == 3
+
+    def test_compare_gap_metric_without_gap_exits_2(self, tmp_path, capsys):
+        common = "problem = lasso\nm = 8\nn = 12\nd = 3\nseed = 7\npasses = 2\n"
+        (tmp_path / "a.cfg").write_text(common + "solver = spbcd\nK = 4\ngap = true\n")
+        (tmp_path / "b.cfg").write_text(common + "solver = pdcp\n")
+        argv = ["compare", "--config", str(tmp_path / "a.cfg"), "--config",
+                str(tmp_path / "b.cfg"), "--out-dir", str(tmp_path / "cmp"), "--metric", "gap"]
+        assert main(argv) == 2
+        assert "not set in pdcp" in capsys.readouterr().err
+        (tmp_path / "b.cfg").write_text(common + "solver = pdcp\ngap = true\n")
+        assert main(argv) == 0
+        assert (tmp_path / "cmp" / "gap_vs_pass.svg").exists()
+
+    @pytest.mark.parametrize("problem", ["lasso", "group-lasso"])
+    def test_reference_failure_exits_3(self, tmp_path, capsys, monkeypatch, problem):
+        if problem == "lasso":
+            def failing(*args, **kwargs):
+                raise ConvergenceError("lasso reference did not settle within 50000 passes")
+
+            monkeypatch.setattr(bench.baselines, "fista_reference", failing)
+            why = "did not settle"
+        else:
+            # the reference's own passes fail, as a diverging step would
+            def pass_step(*args, **kwargs):
+                def failing(state):
+                    raise NumericsError("non-finite values in y at iteration 1")
+                return failing
+
+            monkeypatch.setattr(bench.baselines, "pass_step", pass_step)
+            why = "non-finite values in y"
+        out = tmp_path / "t.csv"
+        code = main(["run", "--problem", problem, *TINY_FLAGS[problem],
+                     "--passes", "2", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: reference solve failed: ") and why in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_compare_seed_mismatch_exits_2(self, tmp_path, capsys):
         cfg_a = tmp_path / "a.cfg"

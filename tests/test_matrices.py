@@ -444,10 +444,14 @@ class TestSparseCoupling:
                                           [5, 0, 0, 6], [0, 0, 0, -8]]
         assert coupling.local_cols.tolist() == [[1, 0, 0, 0], [2, 0, 0, 2], [0, 0, 0, 0],
                                                 [0, 0, 0, 0], [0, 0, 0, 1]]
-        assert coupling.cols.tolist() == [[1, 0, 0, 0], [2, 0, 0, 2], [3, 3, 3, 3],
-                                          [4, 4, 4, 4], [4, 4, 4, 5]]
+        # the global column ids are the positions of the set of all blocks
+        full = coupling._all_columns
+        assert full.cols.tolist() == [[1, 0, 0, 0], [2, 0, 0, 2], [3, 3, 3, 3],
+                                      [4, 4, 4, 4], [4, 4, 4, 5]]
+        assert full.cols.dtype == np.intp and full.cols.flags.c_contiguous
+        assert not hasattr(coupling, "cols")
         assert np.array_equal(coupling.abs_vals, np.abs(coupling.vals))
-        for arr in (coupling.vals, coupling.local_cols, coupling.cols, coupling.abs_vals):
+        for arr in (coupling.vals, coupling.local_cols, coupling.abs_vals):
             assert not arr.flags.writeable and arr.flags.c_contiguous
         for j, sl in enumerate((slice(0, 3), slice(3, 4), slice(4, 6))):
             assert np.array_equal(coupling.block(j), A[:, sl])
@@ -567,7 +571,8 @@ class TestSparseCoupling:
         want = ColumnStore._sum_by(columns.cols[real], products[real], coords.size)
         assert np.array_equal(bits(columns.rmatvec(y)), bits(want))
         real = store.vals != 0
-        want = ColumnStore._sum_by(store.cols[real], (store.vals * y)[real], P.total)
+        global_cols = store._all_columns.cols
+        want = ColumnStore._sum_by(global_cols[real], (store.vals * y)[real], P.total)
         assert np.array_equal(bits(store.rmatvec(y)), bits(want))
         assert np.allclose(store.col_abs_sums, oracle.col_abs_sums(), rtol=1e-14, atol=0)
         for j in range(P.num_blocks):
@@ -620,14 +625,17 @@ class TestFullProducts:
         assert np.shares_memory(coupling._all_columns.values, coupling.matrix.values)
 
     def test_sparse_set_is_the_stored_slot_rows(self, rng):
-        """The full set holds the stored global column ids: no second
-        (W, m) array."""
+        """The full set is the all-block gather: its values are views of all
+        stored slot rows, and its column positions are built by the gather
+        (the store keeps no global column ids)."""
         A = rng.standard_normal((4, 7)) * (rng.uniform(size=(4, 7)) < 0.5)
         coupling = sparse_coupling(A, BlockPartition([2, 1, 3, 1]))
         full = coupling._all_columns
         assert full.index == slice(0, 7) and full.width == 7
-        assert full.cols is coupling.cols
-        assert full.vals is coupling.vals and full.abs_vals is coupling.abs_vals
+        fresh = coupling._gather(np.arange(4))
+        assert np.array_equal(full.cols, fresh.cols) and full.cols.dtype == fresh.cols.dtype
+        for got, stored in ((full.vals, coupling.vals), (full.abs_vals, coupling.abs_vals)):
+            assert got.base is stored and got.shape == stored.shape
 
     def test_sparse_gather_of_every_block_is_the_full_set(self, rng):
         """A gather of all J blocks (the engine at K = J) returns the cached
@@ -639,7 +647,7 @@ class TestFullProducts:
         assert coupling.gather(np.arange(4)) is coupling._all_columns
         widths = np.diff(coupling.slot_offsets)
         shift = np.repeat(P.offset_array[:-1], widths)[:, None]
-        assert np.array_equal(coupling.local_cols + shift, coupling.cols)
+        assert np.array_equal(coupling.local_cols + shift, coupling._all_columns.cols)
 
 
 def coupling_of(store, rng):
