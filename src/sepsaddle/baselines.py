@@ -3,7 +3,10 @@ preconditioned variant, and ISTA/FISTA for lasso.
 
 Every run is its step inside ``spbcd.timed_passes``, the engine's own timed
 pass loop, so all solvers time, trace and abort alike. pdcp takes its primal
-prox over all blocks in one ``instance.block_prox`` call. The two references
+prox over all blocks in one ``instance.block_prox`` call, under a metric,
+block set and prox plan built once per run (``PdcpConstants``). ISTA and
+FISTA take A in the layout it comes in, without a copy: the lasso coupling's
+column-major store. The two references
 (``fista_reference``, ``preconditioned_reference``) are the FISTA steps and
 the block engine's passes at K = J under one stopping rule, ``_settle``.
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,16 +71,36 @@ def pdcp_initial_state(instance, x0=None, y0=None) -> PdcpState:
     return PdcpState(x=x, x_bar=x.copy(), y=y)
 
 
-def pdcp_iterate(instance, state: PdcpState, config: PdcpConfig) -> PdcpState:
+class PdcpConstants(NamedTuple):
+    """What every pdcp pass would rebuild from its config: the metric
+    h 1_n, the set of all blocks and the prox plan of that set under it."""
+
+    h: np.ndarray
+    blocks: np.ndarray
+    prox_plan: object
+
+    @classmethod
+    def for_run(cls, instance, config: PdcpConfig) -> "PdcpConstants":
+        h = np.full(instance.n, config.h)
+        h.setflags(write=False)
+        blocks = np.arange(instance.num_blocks)
+        return cls(h, blocks, instance.block_prox.plan(h, slice(0, instance.n), blocks))
+
+
+def pdcp_iterate(instance, state: PdcpState, config: PdcpConfig,
+                 constants: PdcpConstants | None = None) -> PdcpState:
     """One batch step, dual first: resolvent at A x_bar^t, then the primal
     prox of every block at A^T y^{t+1} in one ``block_prox`` call, then
-    extrapolation with theta = 1."""
+    extrapolation with theta = 1. ``constants`` are the run's
+    ``PdcpConstants`` (``pdcp_run`` builds them once); without them the step
+    builds its own."""
+    if constants is None:
+        constants = PdcpConstants.for_run(instance, config)
     u = instance.coupling.matvec(state.x_bar)
     y_new = instance.dual_fn.resolvent(state.y, u, config.sigma)
     grad = instance.coupling.rmatvec(y_new)
-    n = instance.n
-    x_new = instance.block_prox(state.x - grad / config.h, np.full(n, config.h),
-                                slice(0, n), np.arange(instance.num_blocks))
+    x_new = instance.block_prox(state.x - grad / config.h, constants.h, slice(0, instance.n),
+                                constants.blocks, constants.prox_plan)
     state.x_bar = x_new + (x_new - state.x)
     state.x = x_new
     state.y = y_new
@@ -102,7 +126,8 @@ def pdcp_run(instance, config: PdcpConfig, passes: int, metric_callback=None):
             RuntimeWarning,
             stacklevel=2,
         )
-    return timed_passes(lambda state: pdcp_iterate(instance, state, config),
+    constants = PdcpConstants.for_run(instance, config)
+    return timed_passes(lambda state: pdcp_iterate(instance, state, config, constants),
                         pdcp_initial_state(instance), passes, metric_callback)
 
 
@@ -207,9 +232,9 @@ def _fista_steps(M, b, lam: float, L: float, x):
 
 
 def _lasso_start(A):
-    """The matrix, row-major (so the iterates' bits do not depend on the
-    layout A comes in), the step constant L and the zero start."""
-    M = np.ascontiguousarray(_values(A))
+    """The matrix in the layout A comes in (no copy), the step constant L
+    and the zero start."""
+    M = _values(A)
     return M, lipschitz_upper(M), np.zeros(M.shape[1])
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,6 +154,26 @@ def _prox_class(fn) -> tuple[int, float]:
     return _OWN, 0.0
 
 
+def _apply(kind, v, parameter) -> np.ndarray:
+    """The prox of one function class at v, from its ``BlockProx.plan``
+    parameter: the L1 thresholds w/h, the quadratic factor h/(1+h), or the
+    group segment starts and tau_j = w_j / max h_j."""
+    if kind == _SOFT:
+        return prox_l1(v, parameter)
+    if kind == _QUADRATIC:
+        return v * parameter
+    return prox_group_l2_segments(v, *parameter)
+
+
+class ProxPlan(NamedTuple):
+    """What ``BlockProx`` derives from the metric h for one block selection:
+    the (block, slice of v) of every block that calls its own prox, and the
+    (class, positions in v, parameter) of every batched class present."""
+
+    own: tuple
+    classes: tuple
+
+
 class BlockProx:
     """The prox of a set of blocks, with one call per function class.
 
@@ -161,7 +182,12 @@ class BlockProx:
     prox with per-coordinate weights built here, once. Group-L2 blocks are
     shrunk together from segment norms. Any other block (nuclear, or a
     user-defined function) calls its own ``prox`` inline. Every block writes
-    only its own coordinates.
+    only its own coordinates and the result is a new array.
+
+    A call derives each class's parameter from h (``plan``). A run that takes
+    the prox of the same blocks under the same h on every iteration (the
+    engine at K = J, pdcp) builds that plan once and passes it in; the plan
+    belongs to the run, since one instance is solved under several metrics.
     """
 
     def __init__(self, block_fns, block_sizes):
@@ -174,33 +200,60 @@ class BlockProx:
             np.where(self.kinds == _SOFT, self.weights, 0.0), self.sizes)
         self.single_class = kinds[0] if len(set(kinds)) == 1 else None
 
-    def __call__(self, v, h, index, blocks) -> np.ndarray:
+    def __call__(self, v, h, index, blocks, plan=None) -> np.ndarray:
         """argmin_x sum_{j in blocks} f_j(x_j) + (1/2)||x - v||^2_diag(h).
 
         ``blocks`` are sorted and distinct, ``index`` holds their coordinates
         (``matrices.block_coords``), and v, h and the result are ordered like
-        ``index``.
+        ``index``. ``plan`` is ``self.plan(h, index, blocks)``, when the
+        caller holds it.
         """
-        if self.single_class == _GROUP and len(blocks) == 1:
-            return self._one_group(v, h, blocks[0])
+        if plan is None:
+            if self.single_class == _GROUP and len(blocks) == 1:
+                return self._one_group(v, h, blocks[0])
+            plan = self.plan(h, index, blocks)
+        if self.single_class not in (None, _OWN):
+            (kind, _, parameter), = plan.classes
+            return _apply(kind, v, parameter)
+        x = np.empty_like(v)
+        for j, sl in plan.own:
+            x[sl] = self.fns[j].prox(v[sl], h[sl])
+        for kind, pos, parameter in plan.classes:
+            x[pos] = _apply(kind, v[pos], parameter)
+        return x
+
+    def plan(self, h, index, blocks) -> ProxPlan:
+        """The ``ProxPlan`` of the selected blocks under the metric h
+        (ordered like ``index``): the L1 thresholds w/h, the quadratic factor
+        h/(1+h) and the group tau_j = w_j / max h_j, each a new array."""
         blocks = np.asarray(blocks)
         sizes = self.sizes[blocks]
         if self.single_class not in (None, _OWN):
             w = self.soft_weights[index] if self.single_class == _SOFT else None
-            return self._batched(self.single_class, v, h, w, blocks, sizes)
+            parameter = self._parameter(self.single_class, h, w, blocks, sizes)
+            return ProxPlan((), ((self.single_class, slice(None), parameter),))
         seg = np.concatenate(([0], np.cumsum(sizes)))
         kinds = self.kinds[blocks]
-        x = np.empty_like(v)
-        for k in np.flatnonzero(kinds == _OWN):
-            sl = slice(seg[k], seg[k + 1])
-            x[sl] = self.fns[blocks[k]].prox(v[sl], h[sl])
+        own = tuple((blocks[k], slice(seg[k], seg[k + 1]))
+                    for k in np.flatnonzero(kinds == _OWN))
+        classes = []
         for kind in (_SOFT, _QUADRATIC, _GROUP):
             ks = np.flatnonzero(kinds == kind)
             if ks.size:
                 pos = block_coords(seg, ks)
                 w = self.soft_weights[index][pos] if kind == _SOFT else None
-                x[pos] = self._batched(kind, v[pos], h[pos], w, blocks[ks], sizes[ks])
-        return x
+                parameter = self._parameter(kind, h[pos], w, blocks[ks], sizes[ks])
+                classes.append((kind, pos, parameter))
+        return ProxPlan(own, tuple(classes))
+
+    def _parameter(self, kind, h, soft_weights, blocks, sizes):
+        if kind == _SOFT:
+            return soft_weights / h
+        if kind == _QUADRATIC:
+            return h / (1.0 + h)
+        starts = np.cumsum(sizes) - sizes
+        # h is uniform on a group block; its maximum is the block's metric
+        return starts, self.weights[blocks] / np.maximum.reduceat(h, starts)
 
     def _one_group(self, v, h, block) -> np.ndarray:
         """``prox_group_l2_segments`` of one segment, bitwise: its norm by the
@@ -209,16 +262,6 @@ class BlockProx:
         tau = self.weights[block] / h.max()
         norm = np.sqrt(np.add.reduceat(v * v, _FIRST)[0])
         return v * (1.0 - tau / norm if norm > tau else 0.0)
-
-    def _batched(self, kind, v, h, soft_weights, blocks, sizes) -> np.ndarray:
-        if kind == _SOFT:
-            return prox_l1(v, soft_weights / h)
-        if kind == _QUADRATIC:
-            return prox_quadratic_frobenius(v, h)
-        starts = np.cumsum(sizes) - sizes
-        # h is uniform on a group block; its maximum is the block's metric
-        tau = self.weights[blocks] / np.maximum.reduceat(h, starts)
-        return prox_group_l2_segments(v, starts, tau)
 
 
 @dataclass(frozen=True, eq=False)

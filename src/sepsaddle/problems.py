@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 from typing import Callable
 
@@ -72,6 +71,9 @@ class SepCCSPInstance:
             raise ConfigError(f"unknown residual kind {self.residual_kind!r}")
         if not np.isfinite(self.primal_objective(np.zeros(self.n))):
             raise ConfigError("primal objective must be finite at zero")
+        # the prox of any set of blocks, batched by function class; built
+        # here so that no solve builds it inside its first pass
+        self.block_prox = BlockProx(self.block_fns, self.coupling.partition.block_sizes)
 
     @property
     def m(self) -> int:
@@ -87,11 +89,6 @@ class SepCCSPInstance:
 
     def block_slice(self, j: int) -> slice:
         return self.coupling.block_slice(j)
-
-    @cached_property
-    def block_prox(self) -> BlockProx:
-        """The prox of any set of blocks, batched by function class."""
-        return BlockProx(self.block_fns, self.coupling.partition.block_sizes)
 
     def objective(self, x) -> float:
         return float(self.primal_objective(np.asarray(x, dtype=float)))

@@ -96,9 +96,12 @@ def prox_quadratic_frobenius(v, h) -> np.ndarray:
 
 
 def dual_resolvent_linear(y_prev, u, b, sigma) -> np.ndarray:
-    """Resolvent for g*(y) = <y, b>: y_prev + (u - b)/sigma."""
-    y_prev = np.asarray(y_prev, dtype=float)
-    return y_prev + (np.asarray(u, dtype=float) - b) / sigma
+    """Resolvent for g*(y) = <y, b>: y_prev + (u - b)/sigma, formed in one
+    new array."""
+    out = np.subtract(u, b, dtype=float)
+    out /= sigma
+    out += y_prev
+    return out
 
 
 def dual_resolvent_quadratic(y_prev, u, b, sigma) -> np.ndarray:

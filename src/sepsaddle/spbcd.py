@@ -15,6 +15,13 @@ product A_S^T y, one prox call per block-function class (``BlockProx``) and
 one product A_S (x_bar_S^new - x_bar_S^old). The adaptive dual penalties are
 summed from the same gathered columns. A one-block column set is views of the
 coupling's store, built once per block and cached by ``Coupling.gather``.
+At K = J every iteration selects every block, so sigma (whatever its rule,
+scale or override) and the prox parameters of all blocks do not change in
+a run: ``pass_step`` computes them once (``AllBlocks``), and each iteration
+reads them, skips the theta = J/K = 1 multiplies and makes the new x and
+x_bar the state's arrays instead of copying them in. A caller that holds
+``state.x`` or ``state.x_bar`` from an earlier iteration keeps that
+iterate; below K = J both are written in place.
 
 Every iteration first checks that the state is finite
 (``SolverState.validate``): one sum of the four squared norms, which is
@@ -36,6 +43,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,38 +241,75 @@ def _sigma_for(instance, blocks, config: StepsizeConfig, columns=None) -> np.nda
     return sigma
 
 
+class AllBlocks(NamedTuple):
+    """What a K = J iteration would otherwise recompute, and what never
+    changes in a run: the dual penalties sigma (read-only) and the prox plan
+    of all blocks under the config's h (``functions.BlockProx.plan``).
+    ``pass_step`` builds them once per run; they live with the run, not with
+    the instance, which several configs may solve."""
+
+    sigma: np.ndarray
+    prox_plan: object
+
+    @classmethod
+    def for_run(cls, instance, config: StepsizeConfig) -> "AllBlocks":
+        blocks = np.arange(config.J)
+        sigma = _sigma_for(instance, blocks, config)
+        sigma.setflags(write=False)
+        return cls(sigma, instance.block_prox.plan(config.h, slice(0, instance.n), blocks))
+
+
 def dual_step(instance, state: SolverState, blocks, sigma_t, delta_bar) -> np.ndarray:
     """One dual resolvent step at u = r_bar + (J/K) * delta_bar, where r_bar
     is the pre-update cache."""
-    u = (instance.num_blocks / len(blocks)) * delta_bar
-    u += state.r_bar
+    J, K = instance.num_blocks, len(blocks)
+    if K == J:
+        u = delta_bar + state.r_bar
+    else:
+        u = (J / K) * delta_bar
+        u += state.r_bar
     return instance.dual_fn.resolvent(state.y, u, sigma_t)
 
 
 def iterate(instance, state: SolverState, config: StepsizeConfig,
-            blocks: np.ndarray) -> SolverState:
+            blocks: np.ndarray, all_blocks: AllBlocks | None = None) -> SolverState:
     """One full iteration (Algorithm box) on the sorted, distinct ``blocks``:
     primal steps + extrapolate, adaptive dual step, cache refresh.
 
     The blocks are one column set S: x_S and x_bar_S are updated through S's
-    coordinates, with one ``BlockProx`` call for their prox.
+    coordinates, with one ``BlockProx`` call for their prox. At K = J, S is
+    every block: sigma and the prox parameters are those of ``all_blocks``,
+    the run's ``AllBlocks`` (``pass_step`` builds them once; without them
+    the iteration builds its own), theta is 1, and the new x and x_bar
+    replace ``state.x`` and ``state.x_bar``.
     """
     state.validate()
     columns = instance.coupling.gather(blocks)
     index = columns.index
     h = config.h[index]
     x_old = state.x[index]
-    v = x_old - columns.rmatvec(state.y) / h
-    x_new = instance.block_prox(v, h, index, blocks)
-    xb_new = x_new + config.theta * (x_new - x_old)
-    delta_bar = columns.matvec(xb_new - state.x_bar[index])
-
-    sigma_t = _sigma_for(instance, blocks, config, columns)
-    y_new = dual_step(instance, state, blocks, sigma_t, delta_bar)
-
-    state.x[index] = x_new
-    state.x_bar[index] = xb_new
-    state.y = y_new
+    if config.K < config.J:
+        v = x_old - columns.rmatvec(state.y) / h
+        x_new = instance.block_prox(v, h, index, blocks)
+        xb_new = x_new + config.theta * (x_new - x_old)
+        delta_bar = columns.matvec(xb_new - state.x_bar[index])
+        sigma_t = _sigma_for(instance, blocks, config, columns)
+        state.x[index] = x_new
+        state.x_bar[index] = xb_new
+    else:
+        if all_blocks is None:
+            all_blocks = AllBlocks.for_run(instance, config)
+        # the same operations, each into the one new array it starts
+        v = columns.rmatvec(state.y)
+        v /= h
+        np.subtract(x_old, v, out=v)
+        x_new = instance.block_prox(v, h, index, blocks, all_blocks.prox_plan)
+        xb_new = x_new - x_old
+        xb_new += x_new
+        delta_bar = columns.matvec(xb_new - state.x_bar)
+        sigma_t = all_blocks.sigma
+        state.x, state.x_bar = x_new, xb_new
+    state.y = dual_step(instance, state, blocks, sigma_t, delta_bar)
     state.r_bar += delta_bar
     state.t += 1
     return state
@@ -315,10 +360,11 @@ def pass_step(instance, config: StepsizeConfig, rng: np.random.Generator,
     sets are drawn first, in one ``sample_blocks`` call, and the r_bar drift
     is held to ``RBAR_TOL`` every ``rbar_check_interval`` iterations."""
     per_pass = iterations_per_pass(config.J, config.K)
+    all_blocks = None if config.K < config.J else AllBlocks.for_run(instance, config)
 
     def one_pass(state):
         for blocks in sample_blocks(rng, config.J, config.K, per_pass):
-            iterate(instance, state, config, blocks)
+            iterate(instance, state, config, blocks, all_blocks)
             if state.t % rbar_check_interval == 0:
                 drift = rbar_drift(instance, state)
                 if drift > RBAR_TOL:

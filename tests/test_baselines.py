@@ -6,6 +6,7 @@ import pytest
 from sepsaddle import spbcd
 from sepsaddle.baselines import (
     PdcpConfig,
+    _lasso_start,
     fista_reference,
     fista_run,
     ista_run,
@@ -312,16 +313,17 @@ class TestFista:
         assert np.array_equal(x_ref, x_run)
 
     @pytest.mark.parametrize("run_fn", [ista_run, fista_run])
-    def test_iterates_do_not_depend_on_the_layout(self, run_fn):
-        """The steps take A row-major, so a column-major A (the lasso
-        coupling's store) gives bitwise the same iterates."""
+    def test_steps_take_the_matrix_uncopied_in_any_layout(self, run_fn):
+        """The steps take A in the layout it comes in, with no copy, so a
+        column-major A (the lasso coupling's store) and a row-major one
+        differ only in the products' rounding."""
         A, b, lam = gen_lasso(20, 40, 4, seed=0)
         rows, cols = A.values, np.asfortranarray(A.values)
+        assert _lasso_start(cols)[0] is cols
         by_rows = run_fn(rows, b, lam, passes=30, metric_callback=lambda p, x, s: x.copy())
         by_cols = run_fn(cols, b, lam, passes=30, metric_callback=lambda p, x, s: x.copy())
         for x_r, x_c in zip(by_rows[1], by_cols[1]):
-            assert np.array_equal(x_r, x_c)
-        assert np.array_equal(by_rows[0], by_cols[0])
+            assert np.abs(x_r - x_c).max() <= 1e-12 * max(1.0, np.abs(x_r).max())
 
     def test_lipschitz_safety_factor(self):
         A, _, _ = gen_lasso(10, 10, 2, seed=2)

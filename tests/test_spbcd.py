@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepsaddle.baselines import preconditioned_pdcp_run
+from sepsaddle.baselines import PdcpConfig, pdcp_initial_state, pdcp_run, preconditioned_pdcp_run
 from sepsaddle.errors import ConfigError, NumericsError, RunAborted
 from sepsaddle.functions import (
+    BlockProx,
     BoxLinearDual,
     GroupL2Block,
     L1Block,
+    LinearDual,
     NuclearBlock,
     QuadraticBlock,
     QuadraticDual,
@@ -34,7 +36,9 @@ from sepsaddle.problems import (
     make_rpca,
     rpca_default_penalties,
 )
+from sepsaddle.prox import prox_group_l2_segments, prox_l1, prox_quadratic_frobenius
 from sepsaddle.spbcd import (
+    FLOOR_EPS,
     STEPSIZE_RULES,
     StepsizeConfig,
     _sigma_for,
@@ -678,25 +682,80 @@ def test_batched_iterate_matches_per_block_loop(kind, size, layout, rule, sigma_
             assert np.abs(got - want).max() <= 1e-12 * scale, name
 
 
+# ---------------------------------------------------------------------------
+# Bitwise reference: the engine's arithmetic written out again, with its own
+# sigma, prox dispatch and resolvent, each recomputed and allocated on every
+# iteration, and the state written through the selection's coordinates. It
+# calls nothing of the engine but the coupling's products and the closed-form
+# operators of ``prox``, so the engine's run constants are checked against
+# values built anew.
+# ---------------------------------------------------------------------------
+
+def reference_sigma(instance, config, blocks, columns):
+    """sigma^t of the config's rule, scale and override; ``columns`` are
+    the selection's, whose row sums are their last use."""
+    J, K = config.J, config.K
+    if config.sigma_override is not None:
+        return np.full(instance.m, max(config.sigma_override, FLOOR_EPS))
+    if config.rule == "adaptive-l1":
+        sigma = (J / K) * columns.row_abs_sums()
+    else:
+        norms = instance.coupling.block_norms
+        sigma = np.full(instance.m, (J / K) * sum(norms[j] for j in blocks))
+    sigma = np.maximum(sigma, FLOOR_EPS)
+    if config.sigma_scale != 1.0:
+        sigma = np.maximum(sigma * config.sigma_scale, FLOOR_EPS)
+    return sigma
+
+
+def reference_prox(instance, v, h, blocks):
+    """The prox of the selected blocks, block by block; v and h are ordered
+    like the blocks' coordinates."""
+    x = np.empty_like(v)
+    sizes = instance.coupling.partition.block_sizes
+    start = 0
+    for j in blocks:
+        fn, sl = instance.block_fns[j], slice(start, start + sizes[j])
+        start = sl.stop
+        if type(fn) is L1Block:
+            x[sl] = prox_l1(v[sl], fn.weight / h[sl])
+        elif type(fn) is QuadraticBlock:
+            x[sl] = prox_quadratic_frobenius(v[sl], h[sl])
+        elif type(fn) is GroupL2Block:
+            x[sl] = prox_group_l2_segments(v[sl], [0], [fn.weight / h[sl].max()])
+        else:
+            x[sl] = fn.prox(v[sl], h[sl])
+    return x
+
+
+def reference_resolvent(dual_fn, y, u, sigma):
+    if type(dual_fn) is LinearDual:
+        return y + (u - dual_fn.b) / sigma
+    if type(dual_fn) is QuadraticDual:
+        return (sigma * y + u - dual_fn.b) / (sigma + 1.0)
+    return np.clip(y + (u - dual_fn.c) / sigma, 0.0, 1.0)
+
+
 def choice_reference_run(instance, config, passes, seed):
     """Reference loop: one sorted ``rng.choice`` of the blocks per
-    iteration, a fresh ``_gather`` of their columns, and r_bar refreshed
-    into a new array."""
+    iteration, a fresh ``_gather`` of their columns, the reference sigma,
+    prox and resolvent, and r_bar refreshed into a new array."""
     rng = np.random.Generator(np.random.PCG64(seed))
     state = initial_state(instance)
-    for _ in range(passes * iterations_per_pass(config.J, config.K)):
-        blocks = np.sort(rng.choice(config.J, size=config.K, replace=False))
+    J, K = config.J, config.K
+    for _ in range(passes * iterations_per_pass(J, K)):
+        blocks = np.sort(rng.choice(J, size=K, replace=False))
         state.validate()
         columns = instance.coupling._gather(blocks)
         index = columns.index
         h = config.h[index]
         x_old = state.x[index]
-        v = x_old - columns.rmatvec(state.y) / h
-        x_new = instance.block_prox(v, h, index, blocks)
+        x_new = reference_prox(instance, x_old - columns.rmatvec(state.y) / h, h, blocks)
         xb_new = x_new + config.theta * (x_new - x_old)
         delta_bar = columns.matvec(xb_new - state.x_bar[index])
-        sigma_t = _sigma_for(instance, blocks, config, columns)
-        y_new = dual_step(instance, state, blocks, sigma_t, delta_bar)
+        sigma_t = reference_sigma(instance, config, blocks, columns)
+        y_new = reference_resolvent(instance.dual_fn, state.y,
+                                    (J / K) * delta_bar + state.r_bar, sigma_t)
         state.x[index] = x_new
         state.x_bar[index] = xb_new
         state.y = y_new
@@ -705,12 +764,35 @@ def choice_reference_run(instance, config, passes, seed):
     return state
 
 
+def pdcp_reference_run(instance, config, passes):
+    """Reference pdcp loop: the metric h 1_n and the set of all blocks
+    built on every pass, with the reference prox and resolvent."""
+    state = pdcp_initial_state(instance)
+    for _ in range(passes):
+        h = np.full(instance.n, config.h)
+        y_new = reference_resolvent(instance.dual_fn, state.y,
+                                    instance.coupling.matvec(state.x_bar), config.sigma)
+        v = state.x - instance.coupling.rmatvec(y_new) / config.h
+        x_new = reference_prox(instance, v, h, np.arange(instance.num_blocks))
+        state.x_bar = x_new + (x_new - state.x)
+        state.x = x_new
+        state.y = y_new
+    return state
+
+
+def assert_bitwise(got, want, names=("x", "x_bar", "y", "r_bar")):
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
 @pytest.mark.parametrize("kind", ["lasso", "group-lasso", "rpca"])
 @pytest.mark.parametrize("size", ["one", "some", "all"])
 @pytest.mark.parametrize("rule", STEPSIZE_RULES)
 def test_run_is_bitwise_the_per_iteration_choice_loop(kind, size, rule):
-    """One draw per pass, the cached one-block column sets and the in-place
-    r_bar leave every bit of the run's state as it was."""
+    """One draw per pass, the cached one-block column sets, the in-place
+    r_bar and the K = J run constants leave every bit of the run's state as
+    the reference loop computes it."""
     gen = np.random.Generator(np.random.PCG64(77))
     inst = property_instance(kind, gen)
     J = inst.num_blocks
@@ -721,9 +803,88 @@ def test_run_is_bitwise_the_per_iteration_choice_loop(kind, size, rule):
     state, _ = run(inst, config, pass_budget=6, seed=31)
     want = choice_reference_run(inst, config, passes=6, seed=31)
     assert state.t == want.t
-    for name in ("x", "x_bar", "y", "r_bar"):
-        got = getattr(state, name)
-        assert np.array_equal(got.view(np.int64), getattr(want, name).view(np.int64)), name
+    assert_bitwise(state, want)
+
+
+@pytest.mark.parametrize("kind", ["lasso", "group-lasso", "rpca", "mixed"])
+@pytest.mark.parametrize("setting", [
+    {"sigma_scale": 0.5}, {"sigma_scale": 3.0}, {"sigma_override": 2.5},
+    {"rule": "block-spectral"}, {"rule": "block-spectral", "sigma_scale": 0.5}],
+    ids=["scale-0.5", "scale-3", "override", "block-spectral", "block-spectral-scale-0.5"])
+def test_all_blocks_run_constants_are_bitwise_the_reference(kind, setting):
+    """At K = J sigma and the prox parameters are computed once per run;
+    under every sigma setting the state is bitwise the reference's, which
+    recomputes them on every iteration."""
+    gen = np.random.Generator(np.random.PCG64(78))
+    inst = property_instance(kind, gen)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # floored penalties
+        config = StepsizeConfig.for_instance(inst, K=inst.num_blocks, **setting)
+    state, _ = run(inst, config, pass_budget=8, seed=3)
+    assert_bitwise(state, choice_reference_run(inst, config, passes=8, seed=3))
+
+
+@pytest.mark.parametrize("kind", ["lasso", "group-lasso", "rpca", "mixed"])
+def test_pdcp_run_is_bitwise_the_per_pass_loop(kind):
+    """pdcp builds its metric, block set and prox parameters once per run;
+    its iterates are bitwise those of a loop that rebuilds them every pass."""
+    inst = property_instance(kind, np.random.Generator(np.random.PCG64(79)))
+    config = PdcpConfig.recommended(inst)
+    state, _ = pdcp_run(inst, config, passes=8)
+    assert_bitwise(state, pdcp_reference_run(inst, config, passes=8), ("x", "x_bar", "y"))
+
+
+def test_one_instance_under_several_configs_is_bitwise_fresh_instances():
+    """Run constants live with the run: one rpca instance solved at K = 1,
+    2 and 3 and then by pdcp gives every bit a fresh instance gives."""
+    B = gen_rpca(8, 10, 2, seed=3)
+    penalties = rpca_default_penalties(B)
+    shared = make_rpca(B, *penalties)
+
+    def solve(inst, K):
+        if K is None:
+            return pdcp_run(inst, PdcpConfig.recommended(inst), passes=5)[0]
+        return run(inst, StepsizeConfig.for_instance(inst, K), pass_budget=5, seed=2)[0]
+
+    for K in (1, 2, 3, None):
+        assert_bitwise(solve(shared, K), solve(make_rpca(B, *penalties), K), ("x", "x_bar", "y"))
+
+
+def test_runs_build_no_block_prox(monkeypatch):
+    """The instance builds its ``BlockProx`` when it is constructed, so no
+    solve builds one inside its first pass."""
+    built = []
+    init = BlockProx.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(BlockProx, "__init__", counting_init)
+    B = gen_rpca(6, 8, 2, seed=3)
+    inst = make_rpca(B, *rpca_default_penalties(B))
+    assert len(built) == 1
+    for K in (1, 3):
+        run(inst, StepsizeConfig.for_instance(inst, K), pass_budget=2, seed=1)
+    pdcp_run(inst, PdcpConfig.recommended(inst), passes=2)
+    assert len(built) == 1
+
+
+def test_all_blocks_iterates_replace_the_state_arrays():
+    """At K = J the new x and x_bar replace the state's arrays, so an array
+    held from an earlier pass keeps that pass's iterate; below K = J they
+    are written in place."""
+    B = gen_rpca(6, 8, 2, seed=3)
+    inst = make_rpca(B, *rpca_default_penalties(B))
+    for K, replaced in ((3, True), (2, False)):
+        held = []
+        run(inst, StepsizeConfig.for_instance(inst, K), pass_budget=3, seed=1,
+            metric_callback=lambda p, state, s: held.append(
+                (state.x, state.x.copy(), state.x_bar, state.x_bar.copy())))
+        for x, x_then, x_bar, x_bar_then in held[:-1]:
+            assert np.array_equal(x, x_then) is replaced
+            assert np.array_equal(x_bar, x_bar_then) is replaced
+        assert (held[0][0] is held[1][0]) is not replaced
 
 
 @pytest.mark.parametrize("K, kind", [(1, "one block"), (2, "consecutive"),
