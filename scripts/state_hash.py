@@ -5,17 +5,22 @@ passes, to check that a change leaves the iterates bitwise unchanged.
 Each workload is set up and solved as ``perfbench/run.py`` solves it
 (``perfbench/workloads.py``, imported and not changed): by default to its
 target, which the workloads reach at 14 / 408 / 82 / 166 passes, or for
-``--passes`` passes. The hash covers the bytes of x, x_bar, y and r_bar
-(pdcp keeps no r_bar), in that order. Run it from any directory:
+``--passes`` passes. ``--K`` solves the spbcd workloads' data at another
+K: the workload with that K (``dataclasses.replace``) under the default
+sigma rule, so lasso-k100 drops its sigma scale of K/J, with which a K = 1
+run diverges (y turns non-finite at iteration 183). The hash covers the bytes of x,
+x_bar, y and r_bar (pdcp keeps no r_bar), in that order. Run it from any directory:
 
     python3 scripts/state_hash.py --seed 0
     python3 scripts/state_hash.py --workload lasso-k100 --passes 1
+    python3 scripts/state_hash.py --workload rpca-k3-w2 --K 1 --passes 1
 
 The hashes depend on the BLAS build and the CPU, so compare them only
 between two checkouts run on one machine.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -44,13 +49,19 @@ def main(argv=None) -> int:
                         help="benchmark seed; permutes the rows of the problem data")
     parser.add_argument("--passes", type=int,
                         help="passes to run; default: until the workload's target")
+    parser.add_argument("--K", type=int,
+                        help="blocks per iteration of the spbcd workloads; default their own")
     args = parser.parse_args(argv)
     if args.passes is not None and args.passes < 1:
         parser.error("--passes must be >= 1")
+    if args.K is not None and args.K < 1:
+        parser.error("--K must be >= 1")
 
     failed = False
     for name in args.workload or list(W.WORKLOADS):
         w = W.WORKLOADS[name]
+        if args.K is not None and w.solver == "spbcd":
+            w = dataclasses.replace(w, K=args.K, sigma_scale_k_over_j=False)
         s = W.setup(w, args.seed, W.reference(w))
         rec = W.solve(w, s, passes=args.passes, stop_at_target=args.passes is None)
         if rec.error is not None or rec.state is None:

@@ -84,7 +84,7 @@ class PdcpConstants(NamedTuple):
         h = np.full(instance.n, config.h)
         h.setflags(write=False)
         blocks = np.arange(instance.num_blocks)
-        return cls(h, blocks, instance.block_prox.plan(h, slice(0, instance.n), blocks))
+        return cls(h, blocks, instance.block_prox.plan(h, blocks))
 
 
 def pdcp_iterate(instance, state: PdcpState, config: PdcpConfig,
@@ -99,8 +99,8 @@ def pdcp_iterate(instance, state: PdcpState, config: PdcpConfig,
     u = instance.coupling.matvec(state.x_bar)
     y_new = instance.dual_fn.resolvent(state.y, u, config.sigma)
     grad = instance.coupling.rmatvec(y_new)
-    x_new = instance.block_prox(state.x - grad / config.h, constants.h, slice(0, instance.n),
-                                constants.blocks, constants.prox_plan)
+    x_new = instance.block_prox(state.x - grad / config.h, constants.h, constants.blocks,
+                                constants.prox_plan)
     state.x_bar = x_new + (x_new - state.x)
     state.x = x_new
     state.y = y_new

@@ -263,6 +263,12 @@ def run_experiment(config: RunConfig, instance: SepCCSPInstance | None = None):
         raise ConfigError(_GAP_ONLY)
     _ensure_reference(instance)
     gap_at = _gap_evaluator(instance) if config.gap else None
+    step_config = None
+    if config.solver == "spbcd":
+        step_config = spbcd.StepsizeConfig.for_instance(
+            instance, config.K, rule=config.rule,
+            sigma_override=config.sigma_override, sigma_scale=config.sigma_scale)
+    guarantee = step_config is None or step_config.guarantee
 
     def record(pass_index, x, y, seconds):
         gap = gap_at(x, y) if gap_at is not None else None
@@ -270,21 +276,18 @@ def run_experiment(config: RunConfig, instance: SepCCSPInstance | None = None):
                            instance.objective(x), instance.residual(x), gap)
 
     try:
-        trace = _dispatch(config, instance, record)
+        trace = _dispatch(config, instance, record, step_config)
     except RunAborted as exc:
         if config.out:
-            write_trace(config.out, config, exc.trace)
+            write_trace(config.out, config, exc.trace, guarantee)
         raise
     if config.out:
-        write_trace(config.out, config, trace)
+        write_trace(config.out, config, trace, guarantee)
     return trace
 
 
-def _dispatch(config: RunConfig, instance: SepCCSPInstance, record):
+def _dispatch(config: RunConfig, instance: SepCCSPInstance, record, step_config):
     if config.solver == "spbcd":
-        step_config = spbcd.StepsizeConfig.for_instance(
-            instance, config.K, rule=config.rule,
-            sigma_override=config.sigma_override, sigma_scale=config.sigma_scale)
         _, trace = spbcd.run(
             instance, step_config, config.passes,
             metric_callback=lambda p, state, secs: record(p, state.x, state.y, secs),
@@ -327,7 +330,10 @@ def _trace_row(rec: TraceRecord, with_gap: bool) -> str:
     return row + f",{rec.gap!r}" if with_gap else row
 
 
-def write_trace(path, config: RunConfig, trace) -> Path:
+def write_trace(path, config: RunConfig, trace, guarantee: bool = True) -> Path:
+    """Write ``trace`` under a header of ``# key=value`` lines; a run that
+    leaves the O(1/T) guarantee (``spbcd.StepsizeConfig.guarantee``) has a
+    ``# guarantee=off`` line."""
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -344,6 +350,8 @@ def write_trace(path, config: RunConfig, trace) -> Path:
         lines.append(f"# sigma_override={config.sigma_override!r}")
     if config.sigma_scale != 1.0:
         lines.append(f"# sigma_scale={config.sigma_scale!r}")
+    if not guarantee:
+        lines.append("# guarantee=off")
     lines.append(_trace_header(with_gap))
     lines.extend(_trace_row(rec, with_gap) for rec in trace)
     path.write_text("\n".join(lines) + "\n", encoding="ascii")

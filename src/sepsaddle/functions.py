@@ -136,8 +136,9 @@ class NuclearBlock:
         return prox_nuclear(self._mat(v), tau).ravel()
 
 
-# Function classes of BlockProx; blocks of class _OWN call their own prox.
-_OWN, _SOFT, _QUADRATIC, _GROUP = range(4)
+# Function classes of BlockProx; blocks of class _OWN call their own prox,
+# and _ONE_GROUP is a selection of one block of an all-group instance.
+_OWN, _SOFT, _QUADRATIC, _GROUP, _ONE_GROUP = range(5)
 _FIRST = np.zeros(1, dtype=np.intp)  # reduceat start of a single segment
 
 
@@ -156,12 +157,20 @@ def _prox_class(fn) -> tuple[int, float]:
 
 def _apply(kind, v, parameter) -> np.ndarray:
     """The prox of one function class at v, from its ``BlockProx.plan``
-    parameter: the L1 thresholds w/h, the quadratic factor h/(1+h), or the
-    group segment starts and tau_j = w_j / max h_j."""
+    parameter: the L1 thresholds w/h, the quadratic factor h/(1+h), the
+    group segment starts and tau_j = w_j / max h_j, or one group's tau.
+
+    One group is ``prox_group_l2_segments`` of one segment, bitwise in half
+    the numpy calls: its norm by the same ``np.add.reduceat``
+    (``np.add.reduce`` and ``v @ v`` add in another order), then one scale,
+    0 when the group is shrunk away."""
     if kind == _SOFT:
         return prox_l1(v, parameter)
     if kind == _QUADRATIC:
         return v * parameter
+    if kind == _ONE_GROUP:
+        norm = np.sqrt(np.add.reduceat(v * v, _FIRST)[0])
+        return v * (1.0 - parameter / norm if norm > parameter else 0.0)
     return prox_group_l2_segments(v, *parameter)
 
 
@@ -179,15 +188,16 @@ class BlockProx:
 
     L1 blocks (weight 0 is the zero function) and quadratic blocks are
     coordinatewise, so all their selected coordinates take one elementwise
-    prox with per-coordinate weights built here, once. Group-L2 blocks are
+    prox, with thresholds from the blocks' weights. Group-L2 blocks are
     shrunk together from segment norms. Any other block (nuclear, or a
     user-defined function) calls its own ``prox`` inline. Every block writes
     only its own coordinates and the result is a new array.
 
     A call derives each class's parameter from h (``plan``). A run that takes
-    the prox of the same blocks under the same h on every iteration (the
-    engine at K = J, pdcp) builds that plan once and passes it in; the plan
-    belongs to the run, since one instance is solved under several metrics.
+    the prox of the same blocks under the same h again and again (the engine
+    at K = 1 and K = J, pdcp) builds those plans once and passes them in; a
+    plan belongs to the run, since one instance is solved under several
+    metrics.
     """
 
     def __init__(self, block_fns, block_sizes):
@@ -196,22 +206,19 @@ class BlockProx:
         kinds, weights = zip(*map(_prox_class, self.fns))
         self.kinds = np.array(kinds)
         self.weights = np.array(weights, dtype=float)
-        self.soft_weights = np.repeat(
-            np.where(self.kinds == _SOFT, self.weights, 0.0), self.sizes)
+        # one coordinate per block: the L1 weights of a selection are its blocks' weights
+        self.singletons = bool((self.sizes == 1).all())
         self.single_class = kinds[0] if len(set(kinds)) == 1 else None
 
-    def __call__(self, v, h, index, blocks, plan=None) -> np.ndarray:
+    def __call__(self, v, h, blocks, plan=None) -> np.ndarray:
         """argmin_x sum_{j in blocks} f_j(x_j) + (1/2)||x - v||^2_diag(h).
 
-        ``blocks`` are sorted and distinct, ``index`` holds their coordinates
-        (``matrices.block_coords``), and v, h and the result are ordered like
-        ``index``. ``plan`` is ``self.plan(h, index, blocks)``, when the
-        caller holds it.
+        ``blocks`` are sorted and distinct, and v, h and the result are
+        ordered like their coordinates (``matrices.block_coords``). ``plan``
+        is ``self.plan(h, blocks)``, when the caller holds it.
         """
         if plan is None:
-            if self.single_class == _GROUP and len(blocks) == 1:
-                return self._one_group(v, h, blocks[0])
-            plan = self.plan(h, index, blocks)
+            plan = self.plan(h, blocks)
         if self.single_class not in (None, _OWN):
             (kind, _, parameter), = plan.classes
             return _apply(kind, v, parameter)
@@ -222,15 +229,18 @@ class BlockProx:
             x[pos] = _apply(kind, v[pos], parameter)
         return x
 
-    def plan(self, h, index, blocks) -> ProxPlan:
+    def plan(self, h, blocks) -> ProxPlan:
         """The ``ProxPlan`` of the selected blocks under the metric h
-        (ordered like ``index``): the L1 thresholds w/h, the quadratic factor
-        h/(1+h) and the group tau_j = w_j / max h_j, each a new array."""
+        (ordered like their coordinates): the L1 thresholds w/h, the
+        quadratic factor h/(1+h) and the group tau_j = w_j / max h_j, each a
+        new array; one block of an all-group instance has its tau alone."""
         blocks = np.asarray(blocks)
+        if self.single_class == _GROUP and blocks.size == 1:
+            tau = self.weights[blocks[0]] / h.max()
+            return ProxPlan((), ((_ONE_GROUP, slice(None), tau),))
         sizes = self.sizes[blocks]
         if self.single_class not in (None, _OWN):
-            w = self.soft_weights[index] if self.single_class == _SOFT else None
-            parameter = self._parameter(self.single_class, h, w, blocks, sizes)
+            parameter = self._parameter(self.single_class, h, blocks, sizes)
             return ProxPlan((), ((self.single_class, slice(None), parameter),))
         seg = np.concatenate(([0], np.cumsum(sizes)))
         kinds = self.kinds[blocks]
@@ -241,27 +251,19 @@ class BlockProx:
             ks = np.flatnonzero(kinds == kind)
             if ks.size:
                 pos = block_coords(seg, ks)
-                w = self.soft_weights[index][pos] if kind == _SOFT else None
-                parameter = self._parameter(kind, h[pos], w, blocks[ks], sizes[ks])
+                parameter = self._parameter(kind, h[pos], blocks[ks], sizes[ks])
                 classes.append((kind, pos, parameter))
         return ProxPlan(own, tuple(classes))
 
-    def _parameter(self, kind, h, soft_weights, blocks, sizes):
+    def _parameter(self, kind, h, blocks, sizes):
         if kind == _SOFT:
-            return soft_weights / h
+            w = self.weights[blocks]
+            return (w if self.singletons else np.repeat(w, sizes)) / h
         if kind == _QUADRATIC:
             return h / (1.0 + h)
         starts = np.cumsum(sizes) - sizes
         # h is uniform on a group block; its maximum is the block's metric
         return starts, self.weights[blocks] / np.maximum.reduceat(h, starts)
-
-    def _one_group(self, v, h, block) -> np.ndarray:
-        """``prox_group_l2_segments`` of one segment, bitwise: its norm by the
-        same ``np.add.reduceat`` (``np.add.reduce`` and ``v @ v`` add in
-        another order), then one scale, 0 when the group is shrunk away."""
-        tau = self.weights[block] / h.max()
-        norm = np.sqrt(np.add.reduceat(v * v, _FIRST)[0])
-        return v * (1.0 - tau / norm if norm > tau else 0.0)
 
 
 @dataclass(frozen=True, eq=False)

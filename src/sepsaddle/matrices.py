@@ -293,8 +293,16 @@ class DenseColumns(NamedTuple):
         return self.values.T @ y
 
     def matvec(self, v) -> np.ndarray:
-        """A_S v, for v ordered like ``index``."""
-        return self.values @ v
+        """A_S v, for v ordered like ``index``. One column is scaled by v's
+        one entry, then 0.0 is added: gemv adds each product to 0.0, which
+        turns the -0.0 of a zero entry or a zero v into +0.0, so the result
+        is bitwise gemv's, in half its time."""
+        values = self.values
+        if values.shape[1] == len(v) == 1:  # any other length is gemv's error
+            out = values[:, 0] * v[0]
+            out += 0.0
+            return out
+        return values @ v
 
     def row_abs_sums(self) -> np.ndarray:
         """sum over d in S of |A_kd|, for every row k."""
@@ -423,12 +431,20 @@ class SparseColumns(NamedTuple):
     width: int
 
     def rmatvec(self, y) -> np.ndarray:
-        """A_S^T y."""
+        """A_S^T y. One slot row (a block whose rows hold at most one
+        nonzero each) takes 1-d operands, which skip the broadcast."""
+        if len(self.vals) == 1:
+            return _sum_by(self.cols[0], self.vals[0] * y, self.width)
         return _sum_by(self.cols.ravel(), (self.vals * y).ravel(), self.width)
 
     def matvec(self, v) -> np.ndarray:
-        """A_S v, for v ordered like ``index``."""
-        return _add_slot_rows(self.vals * v[self.cols])
+        """A_S v, for v ordered like ``index``. One slot row's sum, the row
+        plus 0.0 (``_add_slot_rows``), is added in the new products."""
+        products = self.vals * v[self.cols]
+        if len(products) == 1:
+            products += 0.0
+            return products[0]
+        return _add_slot_rows(products)
 
     def row_abs_sums(self) -> np.ndarray:
         """sum over d in S of |A_kd|, for every row k."""

@@ -15,13 +15,17 @@ product A_S^T y, one prox call per block-function class (``BlockProx``) and
 one product A_S (x_bar_S^new - x_bar_S^old). The adaptive dual penalties are
 summed from the same gathered columns. A one-block column set is views of the
 coupling's store, built once per block and cached by ``Coupling.gather``.
-At K = J every iteration selects every block, so sigma (whatever its rule,
-scale or override) and the prox parameters of all blocks do not change in
-a run: ``pass_step`` computes them once (``AllBlocks``), and each iteration
-reads them, skips the theta = J/K = 1 multiplies and makes the new x and
-x_bar the state's arrays instead of copying them in. A caller that holds
-``state.x`` or ``state.x_bar`` from an earlier iteration keeps that
-iterate; below K = J both are written in place.
+Sigma (whatever its rule, scale or override), the metric h and the prox
+parameters of a block set depend on the set and the config alone. A run at
+K = J selects the one set of every block, and a run at K = 1 one of J
+one-block sets, so ``pass_step`` computes them once per run for each of
+those sets (``BlockConstants``; J * m floats of sigma at K = 1), and each
+iteration looks them up; when 1 < K < J each iteration derives its own. One
+iteration body serves every K: it skips the theta = K/J and J/K multiplies
+at K = J, where they are 1, and there makes the new x and x_bar the state's
+arrays instead of copying them in. A caller that holds ``state.x`` or
+``state.x_bar`` from an earlier iteration keeps that iterate; below K = J
+both are written in place.
 
 Every iteration first checks that the state is finite
 (``SolverState.validate``): one sum of the four squared norms, which is
@@ -116,6 +120,14 @@ class StepsizeConfig:
     reproduces the benchmark parameter tables). Non-separable blocks get a
     block-uniform h (the block maximum), which dominates the per-dimension
     values and preserves validity.
+
+    ``guarantee`` says whether the run keeps the O(1/T) gap guarantee, by a
+    sufficient condition: every sigma^t is at least the rule's. It is false
+    for a ``sigma_scale`` below 1, or for a ``sigma_override`` (which the
+    scale does not act on) below the rule's sigma over all blocks, which
+    bounds every iteration's: (J/K) max_k sum_j |A_kj| for adaptive-l1, and
+    (J/K) times the sum of the K largest ||A_j|| for block-spectral. A larger
+    sigma keeps the validity matrix P diagonally dominant.
     """
 
     rule: str
@@ -124,6 +136,7 @@ class StepsizeConfig:
     J: int
     sigma_override: float | None = None
     sigma_scale: float = 1.0
+    guarantee: bool = True
 
     @property
     def theta(self) -> float:
@@ -159,8 +172,23 @@ class StepsizeConfig:
                 stacklevel=2,
             )
 
+        if sigma_override is None:
+            guarantee = bool(sigma_scale >= 1.0)
+            reason = f"sigma_scale {sigma_scale!r} is below 1"
+        else:
+            if rule == "adaptive-l1":
+                rule_sigma = (J / K) * float(coupling.row_abs_sums(np.arange(J)).max())
+            else:
+                rule_sigma = (J / K) * sum(sorted(coupling.block_norms)[J - K:])
+            guarantee = bool(sigma_override >= rule_sigma)
+            reason = (f"sigma_override {sigma_override!r} is below the {rule} sigma "
+                      f"{rule_sigma:.6g} over all blocks")
+        if not guarantee:
+            warnings.warn(f"the O(1/T) guarantee does not hold (guarantee=off): {reason}",
+                          RuntimeWarning, stacklevel=2)
+
         return cls(rule=rule, h=h, K=K, J=J, sigma_override=sigma_override,
-                   sigma_scale=sigma_scale)
+                   sigma_scale=sigma_scale, guarantee=guarantee)
 
 
 def check_sigma_settings(sigma_override, sigma_scale) -> None:
@@ -241,22 +269,45 @@ def _sigma_for(instance, blocks, config: StepsizeConfig, columns=None) -> np.nda
     return sigma
 
 
-class AllBlocks(NamedTuple):
-    """What a K = J iteration would otherwise recompute, and what never
-    changes in a run: the dual penalties sigma (read-only) and the prox plan
-    of all blocks under the config's h (``functions.BlockProx.plan``).
-    ``pass_step`` builds them once per run; they live with the run, not with
-    the instance, which several configs may solve."""
+class BlockConstants(NamedTuple):
+    """What an iteration derives from its block set and the config alone,
+    built once per run for the sets a run draws again and again: at K = J
+    the one set of every block, at K = 1 each of the J one-block sets.
+
+    The set whose first block is k (block k at K = 1, block 0 at K = J) has
+    its dual penalties in row k of ``sigma``, one read-only (sets, m) array,
+    its metric ``h[k]`` (the config's h on its coordinates) and its prox plan
+    ``prox_plan[k]`` (``functions.BlockProx.plan``). At K = 1 the table holds
+    J * m floats: 1.0 MB on group-lasso-k1's data, as much as A on a dense
+    lasso. ``pass_step`` builds them once per run; they live with the run,
+    not with the instance, which several configs may solve.
+    """
 
     sigma: np.ndarray
-    prox_plan: object
+    h: tuple
+    prox_plan: tuple
 
     @classmethod
-    def for_run(cls, instance, config: StepsizeConfig) -> "AllBlocks":
-        blocks = np.arange(config.J)
-        sigma = _sigma_for(instance, blocks, config)
+    def for_run(cls, instance, config: StepsizeConfig) -> "BlockConstants | None":
+        """The constants of the run's sets; None when 1 < K < J, whose sets
+        are too many to keep."""
+        J = config.J
+        if config.K == J:
+            sets = np.arange(J)[None, :]
+        elif config.K == 1:
+            sets = np.arange(J)[:, None]
+        else:
+            return None
+        sigma = np.empty((len(sets), instance.m))
+        hs, plans = [], []
+        for k, blocks in enumerate(sets):
+            columns = instance.coupling.gather(blocks)
+            h = config.h[columns.index]
+            sigma[k] = _sigma_for(instance, blocks, config, columns)
+            hs.append(h)
+            plans.append(instance.block_prox.plan(h, blocks))
         sigma.setflags(write=False)
-        return cls(sigma, instance.block_prox.plan(config.h, slice(0, instance.n), blocks))
+        return cls(sigma, tuple(hs), tuple(plans))
 
 
 def dual_step(instance, state: SolverState, blocks, sigma_t, delta_bar) -> np.ndarray:
@@ -272,42 +323,43 @@ def dual_step(instance, state: SolverState, blocks, sigma_t, delta_bar) -> np.nd
 
 
 def iterate(instance, state: SolverState, config: StepsizeConfig,
-            blocks: np.ndarray, all_blocks: AllBlocks | None = None) -> SolverState:
+            blocks: np.ndarray, constants: BlockConstants | None = None) -> SolverState:
     """One full iteration (Algorithm box) on the sorted, distinct ``blocks``:
     primal steps + extrapolate, adaptive dual step, cache refresh.
 
-    The blocks are one column set S: x_S and x_bar_S are updated through S's
-    coordinates, with one ``BlockProx`` call for their prox. At K = J, S is
-    every block: sigma and the prox parameters are those of ``all_blocks``,
-    the run's ``AllBlocks`` (``pass_step`` builds them once; without them
-    the iteration builds its own), theta is 1, and the new x and x_bar
-    replace ``state.x`` and ``state.x_bar``.
+    The blocks are one column set S, with one ``BlockProx`` call for the
+    prox of x_S. Its sigma, h and prox plan are looked up in ``constants``,
+    the run's ``BlockConstants`` (``pass_step`` builds them at K = 1 and
+    K = J), or derived here without them. The multiplies by theta = K/J and
+    J/K are skipped at K = J, where they are 1. At K = J the new x and x_bar
+    replace ``state.x`` and ``state.x_bar``; below, both are written through
+    S's coordinates.
     """
     state.validate()
     columns = instance.coupling.gather(blocks)
     index = columns.index
-    h = config.h[index]
+    if constants is None:
+        h, plan, sigma_t = config.h[index], None, None
+    else:
+        k = blocks[0]  # the set's key: its first block
+        h, plan, sigma_t = constants.h[k], constants.prox_plan[k], constants.sigma[k]
     x_old = state.x[index]
+    # the same operations, each into the one new array it starts
+    v = columns.rmatvec(state.y)
+    v /= h
+    np.subtract(x_old, v, out=v)
+    x_new = instance.block_prox(v, h, blocks, plan)
+    xb_new = x_new - x_old
     if config.K < config.J:
-        v = x_old - columns.rmatvec(state.y) / h
-        x_new = instance.block_prox(v, h, index, blocks)
-        xb_new = x_new + config.theta * (x_new - x_old)
-        delta_bar = columns.matvec(xb_new - state.x_bar[index])
+        xb_new *= config.theta
+    xb_new += x_new
+    delta_bar = columns.matvec(xb_new - state.x_bar[index])
+    if sigma_t is None:  # after both products: row sums are a set's last use
         sigma_t = _sigma_for(instance, blocks, config, columns)
+    if config.K < config.J:
         state.x[index] = x_new
         state.x_bar[index] = xb_new
     else:
-        if all_blocks is None:
-            all_blocks = AllBlocks.for_run(instance, config)
-        # the same operations, each into the one new array it starts
-        v = columns.rmatvec(state.y)
-        v /= h
-        np.subtract(x_old, v, out=v)
-        x_new = instance.block_prox(v, h, index, blocks, all_blocks.prox_plan)
-        xb_new = x_new - x_old
-        xb_new += x_new
-        delta_bar = columns.matvec(xb_new - state.x_bar)
-        sigma_t = all_blocks.sigma
         state.x, state.x_bar = x_new, xb_new
     state.y = dual_step(instance, state, blocks, sigma_t, delta_bar)
     state.r_bar += delta_bar
@@ -360,11 +412,11 @@ def pass_step(instance, config: StepsizeConfig, rng: np.random.Generator,
     sets are drawn first, in one ``sample_blocks`` call, and the r_bar drift
     is held to ``RBAR_TOL`` every ``rbar_check_interval`` iterations."""
     per_pass = iterations_per_pass(config.J, config.K)
-    all_blocks = None if config.K < config.J else AllBlocks.for_run(instance, config)
+    constants = BlockConstants.for_run(instance, config)
 
     def one_pass(state):
         for blocks in sample_blocks(rng, config.J, config.K, per_pass):
-            iterate(instance, state, config, blocks, all_blocks)
+            iterate(instance, state, config, blocks, constants)
             if state.t % rbar_check_interval == 0:
                 drift = rbar_drift(instance, state)
                 if drift > RBAR_TOL:

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,15 @@ class TestConfigFiles:
 
 
 class TestWriteTrace:
+    @pytest.mark.parametrize("setting, off", [({}, False), ({"sigma_scale": 0.5}, True),
+                                              ({"sigma_override": 1e-3}, True)])
+    def test_runs_off_the_guarantee_are_marked(self, tmp_path, setting, off):
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_experiment(tiny_lasso_config(passes=2, out=str(out), **setting))
+        assert ("# guarantee=off" in out.read_text().splitlines()) is off
+
     def test_header_comments(self, tmp_path):
         config = tiny_lasso_config(sigma_scale=0.5)
         from sepsaddle.bench import TraceRecord

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sepsaddle.functions import BlockProx, GroupL2Block, L1Block, NuclearBlock
+from sepsaddle.functions import BlockProx, GroupL2Block, L1Block, NuclearBlock, QuadraticBlock
 from sepsaddle.problems import gen_rpca, make_rpca, rpca_default_penalties
 from sepsaddle.prox import prox_group_l2_segments
 from sepsaddle.spbcd import StepsizeConfig, run
@@ -34,6 +34,30 @@ def test_zero_weights_are_the_identity_prox():
     assert np.allclose(NuclearBlock(0.0, 2, 2).prox(v, np.ones(4)), v, rtol=0, atol=1e-15)
 
 
+def test_block_prox_keeps_block_weights_and_is_bitwise_each_blocks_prox():
+    """``BlockProx`` keeps one weight per block and no per-coordinate array;
+    for any selection its result is bitwise each block's own prox, so the L1
+    thresholds are each block's weight over h, as before."""
+    fns = (L1Block(0.3), QuadraticBlock(), L1Block(0.0), L1Block(1.7), NuclearBlock(0.2, 2, 2))
+    sizes = [3, 2, 4, 1, 4]
+    prox = BlockProx(fns, sizes)
+    arrays = [a for a in vars(prox).values() if isinstance(a, np.ndarray)]
+    assert arrays and all(a.size == len(sizes) for a in arrays)
+    offsets = np.cumsum([0, *sizes])
+    gen = np.random.Generator(np.random.PCG64(9))
+    for blocks in ([0, 2, 3], [0, 1, 2, 3, 4], [3], [1, 4], [2]):
+        pieces = [slice(offsets[j], offsets[j + 1]) for j in blocks]
+        n = sum(sl.stop - sl.start for sl in pieces)
+        v, h = gen.standard_normal(n), gen.uniform(0.5, 2.0, n)
+        got = prox(v, h, np.array(blocks))
+        start = 0
+        for j, sl in zip(blocks, pieces):
+            own = slice(start, start + sl.stop - sl.start)
+            start = own.stop
+            want = fns[j].prox(v[own], h[own])
+            assert np.array_equal(got[own].view(np.int64), want.view(np.int64)), (blocks, j)
+
+
 @pytest.mark.parametrize("width", [4, 16, 64])
 def test_one_group_prox_is_bitwise_the_segment_prox(width):
     """A selection of one group block takes one norm and one scale; over
@@ -44,7 +68,6 @@ def test_one_group_prox_is_bitwise_the_segment_prox(width):
     weights = gen.uniform(0.05, 0.5, len(sizes))
     prox = BlockProx([GroupL2Block(w) for w in weights], sizes)
     j = sizes.index(width)
-    index = slice(sum(sizes[:j]), sum(sizes[:j + 1]))
     shrunk = 0
     for _ in range(300):
         h = np.full(width, gen.uniform(0.5, 2.0))
@@ -52,7 +75,7 @@ def test_one_group_prox_is_bitwise_the_segment_prox(width):
         v = gen.standard_normal(width)
         v *= tau * gen.uniform(0.0, 2.0) / np.linalg.norm(v)
         want = prox_group_l2_segments(v, np.array([0]), np.array([tau]))
-        got = prox(v, h, index, np.array([j]))
+        got = prox(v, h, np.array([j]))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         shrunk += not want.any()
     assert 100 <= shrunk <= 200

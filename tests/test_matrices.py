@@ -315,6 +315,21 @@ class TestDenseCoupling:
         run = coupling.gather(np.array([1, 2]))
         assert np.shares_memory(run.values, coupling.matrix.values)
 
+    def test_one_column_product_is_bitwise_gemv(self, rng):
+        """A one-column set scales its column: bitwise the gemv product for
+        a zero, a negative zero, negative and positive scalars, and columns
+        that hold zeros, whose products with a negative scalar are -0.0."""
+        A = rng.standard_normal((200, 6))
+        A[rng.uniform(size=A.shape) < 0.4] = 0.0
+        A[:, 2] = 0.0
+        coupling = DenseCoupling(DenseMatrix(A), BlockPartition.singletons(6))
+        for j in range(6):
+            columns = coupling.gather(np.array([j]))
+            for d in (0.0, -0.0, -1.5, 2.5, -1e-300, *rng.standard_normal(4)):
+                d = np.array([d])
+                want = coupling.matrix.values[:, [j]] @ d
+                assert np.array_equal(columns.matvec(d).view(np.int64), want.view(np.int64))
+
     def test_row_abs_sums_checks_selection(self, rng):
         A = rng.standard_normal((3, 4))
         coupling = DenseCoupling(DenseMatrix(A), BlockPartition([1, 2, 1]))

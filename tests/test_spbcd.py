@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepsaddle import spbcd
 from sepsaddle.baselines import PdcpConfig, pdcp_initial_state, pdcp_run, preconditioned_pdcp_run
 from sepsaddle.errors import ConfigError, NumericsError, RunAborted
 from sepsaddle.functions import (
@@ -233,6 +234,36 @@ class TestStepsizeConfig:
             StepsizeConfig.for_instance(small_lasso, K=0)
         with pytest.raises(ConfigError):
             StepsizeConfig.for_instance(small_lasso, K=1, rule="spectral")
+
+    @pytest.mark.parametrize("rule", STEPSIZE_RULES)
+    def test_guarantee_mark_warns_once_when_it_is_off(self, small_lasso, rule):
+        """A sigma_scale below 1, or a sigma_override below the rule's sigma
+        over all blocks, marks the config off the guarantee with one
+        RuntimeWarning; under an override the scale does not act. That sigma
+        bounds every iteration's."""
+        inst, K = small_lasso, 5
+        J = inst.num_blocks
+        if rule == "adaptive-l1":
+            bound = (J / K) * np.abs(inst.coupling.matrix.values).sum(axis=1).max()
+        else:
+            bound = (J / K) * sum(sorted(inst.coupling.block_norms)[-K:])
+        gen = np.random.Generator(np.random.PCG64(5))
+        config = StepsizeConfig.for_instance(inst, K, rule=rule)
+        for _ in range(50):
+            blocks = np.sort(gen.choice(J, size=K, replace=False))
+            assert _sigma_for(inst, blocks, config).max() <= bound * (1 + 1e-12)
+        for setting, kept in [({}, True), ({"sigma_scale": 1.0}, True),
+                              ({"sigma_scale": 3.0}, True), ({"sigma_scale": 0.999}, False),
+                              ({"sigma_override": 1.001 * bound}, True),
+                              ({"sigma_override": 0.999 * bound}, False),
+                              ({"sigma_override": 2 * bound, "sigma_scale": 0.5}, True)]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                config = StepsizeConfig.for_instance(inst, K, rule=rule, **setting)
+            assert config.guarantee is kept, setting
+            assert [w.category for w in caught] == ([] if kept else [RuntimeWarning]), setting
+            if not kept:
+                assert "guarantee=off" in str(caught[0].message)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("key", ["sigma_override", "sigma_scale"])
@@ -806,22 +837,66 @@ def test_run_is_bitwise_the_per_iteration_choice_loop(kind, size, rule):
     assert_bitwise(state, want)
 
 
+SIGMA_SETTINGS = {
+    "scale-0.5": {"sigma_scale": 0.5}, "scale-3": {"sigma_scale": 3.0},
+    "override": {"sigma_override": 2.5}, "block-spectral": {"rule": "block-spectral"},
+    "block-spectral-scale-0.5": {"rule": "block-spectral", "sigma_scale": 0.5}}
+
+
 @pytest.mark.parametrize("kind", ["lasso", "group-lasso", "rpca", "mixed"])
-@pytest.mark.parametrize("setting", [
-    {"sigma_scale": 0.5}, {"sigma_scale": 3.0}, {"sigma_override": 2.5},
-    {"rule": "block-spectral"}, {"rule": "block-spectral", "sigma_scale": 0.5}],
-    ids=["scale-0.5", "scale-3", "override", "block-spectral", "block-spectral-scale-0.5"])
-def test_all_blocks_run_constants_are_bitwise_the_reference(kind, setting):
-    """At K = J sigma and the prox parameters are computed once per run;
-    under every sigma setting the state is bitwise the reference's, which
-    recomputes them on every iteration."""
+@pytest.mark.parametrize(
+    "K, setting",
+    [("J", s) for s in SIGMA_SETTINGS.values()] + [(1, s) for s in SIGMA_SETTINGS.values()],
+    ids=[*SIGMA_SETTINGS, *(f"K1-{name}" for name in SIGMA_SETTINGS)])
+def test_all_blocks_run_constants_are_bitwise_the_reference(kind, K, setting):
+    """At K = J and at K = 1 sigma and the prox parameters are computed once
+    per run; under every sigma setting the state is bitwise the reference's,
+    which recomputes them on every iteration."""
     gen = np.random.Generator(np.random.PCG64(78))
     inst = property_instance(kind, gen)
+    K = inst.num_blocks if K == "J" else K
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # floored penalties
-        config = StepsizeConfig.for_instance(inst, K=inst.num_blocks, **setting)
+        config = StepsizeConfig.for_instance(inst, K=K, **setting)
     state, _ = run(inst, config, pass_budget=8, seed=3)
     assert_bitwise(state, choice_reference_run(inst, config, passes=8, seed=3))
+
+
+def test_one_block_sigma_table_is_a_read_only_run_constant(monkeypatch):
+    """At K = 1 the dual penalties of every block are one read-only (J, m)
+    table, built once per run (J calls of ``compute_sigma_t``, none in the
+    passes) and kept by the run: no array of the instance, its coupling or
+    its ``BlockProx`` holds it, and a second run builds its own."""
+    gen = np.random.Generator(np.random.PCG64(80))
+    inst = property_instance("group-lasso", gen)
+    J = inst.num_blocks
+    built, sigma_calls = [], []
+    for_run = spbcd.BlockConstants.for_run.__func__
+    compute = spbcd.compute_sigma_t
+
+    def recording_for_run(cls, *args):
+        built.append(for_run(cls, *args))
+        return built[-1]
+
+    def counting_compute(*args, **kwargs):
+        sigma_calls.append(args[1])
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(spbcd.BlockConstants, "for_run", classmethod(recording_for_run))
+    monkeypatch.setattr(spbcd, "compute_sigma_t", counting_compute)
+    config = StepsizeConfig.for_instance(inst, K=1)
+    for _ in range(2):
+        run(inst, config, pass_budget=4, seed=6)
+    assert len(built) == 2 and len(sigma_calls) == 2 * J
+    first, second = built
+    assert first.sigma.shape == (J, inst.m) and not first.sigma.flags.writeable
+    assert not np.shares_memory(first.sigma, second.sigma)
+    for j in range(J):
+        want = _sigma_for(inst, np.array([j]), config)
+        assert np.array_equal(first.sigma[j].view(np.int64), want.view(np.int64))
+    for owner in (inst, inst.coupling, inst.block_prox):
+        for value in vars(owner).values():
+            assert not (isinstance(value, np.ndarray) and np.shares_memory(value, first.sigma))
 
 
 @pytest.mark.parametrize("kind", ["lasso", "group-lasso", "rpca", "mixed"])
