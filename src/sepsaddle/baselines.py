@@ -194,9 +194,11 @@ def preconditioned_reference(instance, tol: float = 1e-10, window: int = 50,
     """The diagonally preconditioned method, stepped as the block engine at
     K = J (``spbcd.pass_step``, seed 0), until the objective changes by less
     than ``tol`` (relative) over ``window`` passes. Returns (x, y). The config
-    skips ``for_instance``, whose floored-penalty warning a run already gives."""
+    skips ``for_instance``, whose floored-penalty warning a run already gives;
+    with the rule's sigma at K = J it keeps the guarantee."""
     J = instance.num_blocks
-    config = StepsizeConfig("adaptive-l1", preconditioned_penalties(instance)[0], K=J, J=J)
+    config = StepsizeConfig("adaptive-l1", preconditioned_penalties(instance)[0], K=J, J=J,
+                            guarantee=True)
     step = pass_step(instance, config, np.random.Generator(np.random.PCG64(0)))
     state, _ = _settle(step, initial_state(instance), lambda state: instance.objective(state.x),
                        tol, window, max_passes, "preconditioned reference")

@@ -330,7 +330,7 @@ def _trace_row(rec: TraceRecord, with_gap: bool) -> str:
     return row + f",{rec.gap!r}" if with_gap else row
 
 
-def write_trace(path, config: RunConfig, trace, guarantee: bool = True) -> Path:
+def write_trace(path, config: RunConfig, trace, guarantee: bool) -> Path:
     """Write ``trace`` under a header of ``# key=value`` lines; a run that
     leaves the O(1/T) guarantee (``spbcd.StepsizeConfig.guarantee``) has a
     ``# guarantee=off`` line."""

@@ -431,20 +431,12 @@ class SparseColumns(NamedTuple):
     width: int
 
     def rmatvec(self, y) -> np.ndarray:
-        """A_S^T y. One slot row (a block whose rows hold at most one
-        nonzero each) takes 1-d operands, which skip the broadcast."""
-        if len(self.vals) == 1:
-            return _sum_by(self.cols[0], self.vals[0] * y, self.width)
+        """A_S^T y."""
         return _sum_by(self.cols.ravel(), (self.vals * y).ravel(), self.width)
 
     def matvec(self, v) -> np.ndarray:
-        """A_S v, for v ordered like ``index``. One slot row's sum, the row
-        plus 0.0 (``_add_slot_rows``), is added in the new products."""
-        products = self.vals * v[self.cols]
-        if len(products) == 1:
-            products += 0.0
-            return products[0]
-        return _add_slot_rows(products)
+        """A_S v, for v ordered like ``index``."""
+        return _add_slot_rows(self.vals * v[self.cols])
 
     def row_abs_sums(self) -> np.ndarray:
         """sum over d in S of |A_kd|, for every row k."""

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -127,7 +127,8 @@ class StepsizeConfig:
     scale does not act on) below the rule's sigma over all blocks, which
     bounds every iteration's: (J/K) max_k sum_j |A_kj| for adaptive-l1, and
     (J/K) times the sum of the K largest ||A_j|| for block-spectral. A larger
-    sigma keeps the validity matrix P diagonally dominant.
+    sigma keeps the validity matrix P diagonally dominant. It has no default,
+    so a config built without ``for_instance`` states its own.
     """
 
     rule: str
@@ -136,7 +137,7 @@ class StepsizeConfig:
     J: int
     sigma_override: float | None = None
     sigma_scale: float = 1.0
-    guarantee: bool = True
+    guarantee: bool = field(kw_only=True)
 
     @property
     def theta(self) -> float:

@@ -354,19 +354,20 @@ class TestWriteTrace:
         config = tiny_lasso_config(sigma_scale=0.5)
         from sepsaddle.bench import TraceRecord
         trace = [TraceRecord(1, 1.5, 2.0, 0.1)]
-        path = write_trace(tmp_path / "t.csv", config, trace)
+        path = write_trace(tmp_path / "t.csv", config, trace, guarantee=False)
         text = path.read_text()
         assert "# seed=7" in text
         assert "# solver=spbcd" in text
         assert "# K=4" in text
         assert "# sigma_scale=0.5" in text
+        assert "# guarantee=off" in text
         assert "pass,elapsed_ms,objective,residual" in text
 
 
     @pytest.mark.parametrize("gap", [None, 0.25])
     def test_rows_are_byte_exact(self, tmp_path, gap):
         trace = [TraceRecord(1, 1.5, 2.0, 0.1, gap), TraceRecord(2, 12.3456, 1 / 3, 1e-17, gap)]
-        lines = write_trace(tmp_path / "t.csv", tiny_lasso_config(), trace).read_text()
+        lines = write_trace(tmp_path / "t.csv", tiny_lasso_config(), trace, True).read_text()
         tail = ",0.25" if gap else ""
         assert lines.splitlines()[-3:] == [
             "pass,elapsed_ms,objective,residual" + (",gap" if gap else ""),

@@ -265,6 +265,13 @@ class TestStepsizeConfig:
             if not kept:
                 assert "guarantee=off" in str(caught[0].message)
 
+    def test_a_directly_built_config_states_its_guarantee(self, small_lasso):
+        """The mark has no default: a config built without ``for_instance``
+        cannot claim the guarantee by leaving it out."""
+        J = small_lasso.num_blocks
+        with pytest.raises(TypeError, match="guarantee"):
+            StepsizeConfig("adaptive-l1", small_lasso.coupling.col_abs_sums, K=J, J=J)
+
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("key", ["sigma_override", "sigma_scale"])
     def test_rejects_sigma_settings_that_are_not_positive_and_finite(
