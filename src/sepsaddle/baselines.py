@@ -211,7 +211,7 @@ def preconditioned_reference(instance, tol: float = 1e-10, window: int = 50,
 
 def lipschitz_upper(A) -> float:
     """||A||^2 estimated by power iteration, times a 1.01 safety factor."""
-    return spectral_norm_estimate(A, tol=1e-6, max_iters=5000).value ** 2 * 1.01
+    return spectral_norm_estimate(A, tol=1e-6) ** 2 * 1.01
 
 
 def ista_step(A, b, lam: float, L: float, x) -> np.ndarray:

@@ -7,16 +7,18 @@ keeps the layout it was built with (C order by default). Every coupling is a
 ``gather`` (A_S for a set S of blocks, with A_S^T y, A_S v and the row
 absolute sums of A_S; each one-block set and the set of all blocks are built
 once and cached), the full products (those of the set of all blocks), and
-the stepsize quantities (column absolute sums, block norms, spectral norm).
-``DenseCoupling`` stores its matrix column-major, so a single block and any
-run of consecutive blocks are views and a scattered set of blocks is one
-gather of their columns, into a copy that its row absolute sums overwrite
-with |A_S| (so those sums are the set's last use); ``SparseCoupling`` stores
-each block's nonzeros as slot rows of length m (ELLPACK, one row per nonzero
-a row of the block can hold), so a block's rows are views, A_S^T y is one
-``np.bincount`` and A_S v and the row absolute sums add slot rows;
-``IdentityStackCoupling`` is the implicit [I I ... I] of the low-rank +
-sparse problem.
+the stepsize quantities (column absolute sums, block norms, spectral norm by
+power iteration). ``DenseCoupling`` stores its matrix column-major, so a
+single block and any run of consecutive blocks are views and a scattered set
+of blocks is one gather of their columns, into a copy that its row absolute
+sums overwrite with |A_S| (so those sums are the set's last use); each
+product of a dense set is one matrix product, whatever its width.
+``SparseCoupling`` stores each block's nonzeros as slot rows of length m
+(ELLPACK, one row per nonzero a row of the block can hold): one array of
+column ids and one of values, whose absolute values each sum takes anew. So
+a block's rows are views, A_S^T y is one ``np.bincount`` and A_S v and the
+row absolute sums add slot rows. ``IdentityStackCoupling`` is the implicit
+[I I ... I] of the low-rank + sparse problem.
 """
 
 from __future__ import annotations
@@ -136,12 +138,6 @@ def _values(A) -> np.ndarray:
     return A.values if isinstance(A, DenseMatrix) else np.asarray(A, dtype=float)
 
 
-class SpectralEstimate(NamedTuple):
-    value: float
-    converged: bool
-    iterations: int
-
-
 # Deterministic start vector for the power iteration: a fixed non-uniform
 # pattern so it is never orthogonal to the top singular subspace of the
 # matrices we care about; a second fixed pattern is tried if the first one
@@ -154,13 +150,16 @@ def _power_start(n: int, variant: int = 0) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def spectral_norm_estimate(A, tol: float = 1e-6, max_iters: int = 1000) -> SpectralEstimate:
+POWER_MAX_ITERS = 5000  # iterations before the power iteration returns its last estimate
+
+
+def spectral_norm_estimate(A, tol: float = 1e-6) -> float:
     """Largest singular value via power iteration on A^T A.
 
     ``A`` is a matrix, or a ``Coupling`` whose full products are used.
     Deterministic given the fixed start vector. Stops once successive
-    estimates agree to relative ``tol``; if that never happens the best
-    estimate is returned with ``converged=False``.
+    estimates agree to relative ``tol``; if that never happens within
+    ``POWER_MAX_ITERS`` iterations the last estimate is returned.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -172,21 +171,21 @@ def spectral_norm_estimate(A, tol: float = 1e-6, max_iters: int = 1000) -> Spect
         matvec, rmatvec, n = M.__matmul__, M.T.__matmul__, M.shape[1]
         zero = not np.any(M)
     if zero:
-        return SpectralEstimate(0.0, True, 0)
+        return 0.0
     v = _power_start(n)
     sigma_prev = 0.0
-    for it in range(1, max_iters + 1):
+    for _ in range(POWER_MAX_ITERS):
         w = matvec(v)
         sigma = float(np.linalg.norm(w))
         if sigma == 0.0:
             v = _power_start(n, variant=1)
             continue
         if abs(sigma - sigma_prev) <= 0.25 * tol * sigma:
-            return SpectralEstimate(sigma, True, it)
+            return sigma
         sigma_prev = sigma
         z = rmatvec(w)
         v = z / np.linalg.norm(z)
-    return SpectralEstimate(sigma_prev, False, max_iters)
+    return sigma_prev
 
 
 class Coupling:
@@ -282,7 +281,9 @@ class DenseColumns(NamedTuple):
 
     ``index`` selects S's coordinates of a primal vector, in block order.
     ``values`` is a read-only view of the store: S is one block or a run of
-    consecutive blocks (a scattered S is a ``GatheredColumns``).
+    consecutive blocks (a scattered S is a ``GatheredColumns``). Each
+    product is one matrix product, for one column as for many, so a
+    one-column A_S v has gemv's bits.
     """
 
     index: object
@@ -293,16 +294,8 @@ class DenseColumns(NamedTuple):
         return self.values.T @ y
 
     def matvec(self, v) -> np.ndarray:
-        """A_S v, for v ordered like ``index``. One column is scaled by v's
-        one entry, then 0.0 is added: gemv adds each product to 0.0, which
-        turns the -0.0 of a zero entry or a zero v into +0.0, so the result
-        is bitwise gemv's, in half its time."""
-        values = self.values
-        if values.shape[1] == len(v) == 1:  # any other length is gemv's error
-            out = values[:, 0] * v[0]
-            out += 0.0
-            return out
-        return values @ v
+        """A_S v, for v ordered like ``index``."""
+        return self.values @ v
 
     def row_abs_sums(self) -> np.ndarray:
         """sum over d in S of |A_kd|, for every row k."""
@@ -386,7 +379,7 @@ class DenseCoupling(Coupling):
 
     @cached_property
     def spectral_norm(self) -> float:
-        return spectral_norm_estimate(self.matrix, tol=1e-8, max_iters=5000).value
+        return spectral_norm_estimate(self.matrix, tol=1e-8)
 
     def __repr__(self):
         return f"DenseCoupling({self.m}x{self.n}, J={self.num_blocks})"
@@ -418,8 +411,8 @@ def _add_slot_rows(a: np.ndarray) -> np.ndarray:
 class SparseColumns(NamedTuple):
     """The slot rows of the columns A_S of a set S of blocks, gathered once
     for both products and the dual stepsize rule: (W, m) arrays of column
-    positions among S's coordinates (``width`` of them), of values and of
-    absolute values, one row per slot row of S's blocks, in block order.
+    positions among S's coordinates (``width`` of them) and of values, one
+    row per slot row of S's blocks, in block order.
 
     ``index`` selects S's coordinates of a primal vector, in block order.
     """
@@ -427,7 +420,6 @@ class SparseColumns(NamedTuple):
     index: object
     cols: np.ndarray
     vals: np.ndarray
-    abs_vals: np.ndarray
     width: int
 
     def rmatvec(self, y) -> np.ndarray:
@@ -440,7 +432,7 @@ class SparseColumns(NamedTuple):
 
     def row_abs_sums(self) -> np.ndarray:
         """sum over d in S of |A_kd|, for every row k."""
-        return _add_slot_rows(self.abs_vals)
+        return _add_slot_rows(np.abs(self.vals))
 
 
 def _slot_positions(rows: np.ndarray, cols: np.ndarray, partition: BlockPartition, m: int):
@@ -480,9 +472,10 @@ class SparseCoupling(Coupling):
     Block j owns w_j slot rows, where w_j is its largest nonzero count in any
     row (at least 1). Slot row s of block j holds, for every row k, the s-th
     nonzero of row k in block j, in column order: its column id within the
-    block (``local_cols``), its value (``vals``) and its absolute value
-    (``abs_vals``), all (W, m) arrays over the W slot rows. A row with fewer
-    nonzeros is padded with value 0 at the block's first column.
+    block (``local_cols``) and its value (``vals``), both (W, m) arrays over
+    the W slot rows. A row with fewer nonzeros is padded with value 0 at the
+    block's first column. Absolute values are taken from ``vals`` where a
+    sum needs them.
     ``slot_offsets`` are the prefix sums of the w_j. No global column ids are
     stored: the set of all blocks is gathered like any other set, and its
     column positions are those ids.
@@ -523,9 +516,8 @@ class SparseCoupling(Coupling):
         self.local_cols.ravel()[at] = cols - starts[at // m]
         self.vals = np.zeros(shape)
         self.vals.ravel()[at] = vals
-        self.abs_vals = np.abs(self.vals)
         self.slot_offsets = slot_offsets
-        for arr in (self.vals, self.local_cols, self.abs_vals, self.slot_offsets):
+        for arr in (self.vals, self.local_cols, self.slot_offsets):
             arr.setflags(write=False)
         self.partition = partition
         self.m = int(m)
@@ -555,19 +547,19 @@ class SparseCoupling(Coupling):
             widths = self.slot_offsets[blocks + 1] - self.slot_offsets[blocks]
             cols = cols + np.repeat(np.cumsum(sizes) - sizes, widths)[:, None]
         width = index.stop - index.start if isinstance(index, slice) else index.size
-        return SparseColumns(index, cols, self.vals[slots], self.abs_vals[slots], width)
+        return SparseColumns(index, cols, self.vals[slots], width)
 
     @cached_property
     def col_abs_sums(self) -> np.ndarray:
         """Per-column sums of absolute entries: the adaptive primal penalty."""
         full = self._all_columns  # its column positions are the global ids
-        out = _sum_by(full.cols.ravel(), full.abs_vals.ravel(), self.n)
+        out = _sum_by(full.cols.ravel(), np.abs(full.vals).ravel(), self.n)
         out.setflags(write=False)
         return out
 
     @cached_property
     def spectral_norm(self) -> float:
-        return spectral_norm_estimate(self, tol=1e-8, max_iters=5000).value
+        return spectral_norm_estimate(self, tol=1e-8)
 
     def __repr__(self):
         return (f"SparseCoupling({self.m}x{self.n}, J={self.num_blocks}, "

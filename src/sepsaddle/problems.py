@@ -179,7 +179,7 @@ def rpca_default_penalties(B) -> tuple[float, float]:
     """mu2 = 0.15 ||B||_inf, mu3 = 0.15 ||B||_2."""
     B = np.asarray(B, dtype=float)
     mu2 = 0.15 * float(np.abs(B).max())
-    mu3 = 0.15 * spectral_norm_estimate(B, tol=1e-8, max_iters=5000).value
+    mu3 = 0.15 * spectral_norm_estimate(B, tol=1e-8)
     return mu2, mu3
 
 

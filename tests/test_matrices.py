@@ -253,36 +253,31 @@ class TestBlockMatvec:
 class TestSpectralNormEstimate:
     def test_diagonal(self):
         est = spectral_norm_estimate(DenseMatrix(np.diag([3.0, 1.0])), tol=1e-8)
-        assert est.converged
-        assert est.value == pytest.approx(3.0, rel=1e-8)
+        assert type(est) is float
+        assert est == pytest.approx(3.0, rel=1e-8)
 
     def test_identity_stack_sqrt3(self):
         est = spectral_norm_estimate(identity_stack(2, 3), tol=1e-10)
-        assert est.value == pytest.approx(np.sqrt(3.0), rel=1e-9)
+        assert est == pytest.approx(np.sqrt(3.0), rel=1e-9)
 
     def test_matches_svd_oracle(self, rng):
         for _ in range(10):
             A = rng.standard_normal((10, 10))
-            est = spectral_norm_estimate(DenseMatrix(A), tol=1e-8, max_iters=20_000)
+            est = spectral_norm_estimate(DenseMatrix(A), tol=1e-8)
             exact = np.linalg.svd(A, compute_uv=False)[0]
-            assert abs(est.value - exact) <= 1e-6 * exact
+            assert abs(est - exact) <= 1e-6 * exact
 
     def test_zero_matrix(self):
         est = spectral_norm_estimate(DenseMatrix(np.zeros((3, 2))))
-        assert est.value == 0.0 and est.converged
-
-    def test_nonconvergence_flag(self, rng):
-        A = rng.standard_normal((20, 20))
-        est = spectral_norm_estimate(DenseMatrix(A), tol=1e-14, max_iters=1)
-        assert not est.converged
+        assert type(est) is float and est == 0.0
 
     @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_schur_bound(self, seed, m, n):
         A = np.random.Generator(np.random.PCG64(seed)).standard_normal((m, n))
-        est = spectral_norm_estimate(DenseMatrix(A), tol=1e-8, max_iters=20_000)
+        est = spectral_norm_estimate(DenseMatrix(A), tol=1e-8)
         bound = np.sqrt(np.abs(A).sum(axis=0).max() * np.abs(A).sum(axis=1).max())
-        assert est.value <= bound * (1.0 + 1e-9) + 1e-12
+        assert est <= bound * (1.0 + 1e-9) + 1e-12
 
 
 class TestDenseCoupling:
@@ -465,8 +460,7 @@ class TestSparseCoupling:
                                       [4, 4, 4, 4], [4, 4, 4, 5]]
         assert full.cols.dtype == np.intp and full.cols.flags.c_contiguous
         assert not hasattr(coupling, "cols")
-        assert np.array_equal(coupling.abs_vals, np.abs(coupling.vals))
-        for arr in (coupling.vals, coupling.local_cols, coupling.abs_vals):
+        for arr in (coupling.vals, coupling.local_cols):
             assert not arr.flags.writeable and arr.flags.c_contiguous
         for j, sl in enumerate((slice(0, 3), slice(3, 4), slice(4, 6))):
             assert np.array_equal(coupling.block(j), A[:, sl])
@@ -496,13 +490,11 @@ class TestSparseCoupling:
         coupling = sparse_coupling(A, BlockPartition([2, 1, 3, 1]))
         one = coupling.gather(np.array([2]))
         assert one.index == slice(3, 6)
-        for got, stored in ((one.cols, coupling.local_cols), (one.vals, coupling.vals),
-                            (one.abs_vals, coupling.abs_vals)):
+        for got, stored in ((one.cols, coupling.local_cols), (one.vals, coupling.vals)):
             assert np.shares_memory(got, stored)
         run = coupling.gather(np.array([1, 2]))
         assert run.index == slice(2, 6)
         assert np.shares_memory(run.vals, coupling.vals)
-        assert np.shares_memory(run.abs_vals, coupling.abs_vals)
 
     def test_scattered_gather_skips_empty_blocks(self):
         # block 0 is empty and owns one padding slot row
@@ -649,8 +641,7 @@ class TestFullProducts:
         assert full.index == slice(0, 7) and full.width == 7
         fresh = coupling._gather(np.arange(4))
         assert np.array_equal(full.cols, fresh.cols) and full.cols.dtype == fresh.cols.dtype
-        for got, stored in ((full.vals, coupling.vals), (full.abs_vals, coupling.abs_vals)):
-            assert got.base is stored and got.shape == stored.shape
+        assert full.vals.base is coupling.vals and full.vals.shape == coupling.vals.shape
 
     def test_sparse_gather_of_every_block_is_the_full_set(self, rng):
         """A gather of all J blocks (the engine at K = J) returns the cached
