@@ -271,6 +271,18 @@ class TestSpectralNormEstimate:
         est = spectral_norm_estimate(DenseMatrix(np.zeros((3, 2))))
         assert type(est) is float and est == 0.0
 
+    def test_nonconvergence_flag(self, rng, monkeypatch):
+        """There is no flag: past the cap the last estimate comes back silently."""
+        import sepsaddle.matrices as matrices
+
+        A = rng.standard_normal((20, 20))
+        monkeypatch.setattr(matrices, "POWER_MAX_ITERS", 1)
+        est = spectral_norm_estimate(DenseMatrix(A), tol=1e-14)
+        first = float(np.linalg.norm(A @ matrices._power_start(20)))
+        exact = np.linalg.svd(A, compute_uv=False)[0]
+        assert type(est) is float and est == first
+        assert est < exact * (1.0 - 1e-6)
+
     @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_schur_bound(self, seed, m, n):
